@@ -17,7 +17,7 @@ use crate::{ControlOp, Microword, PlacedProgram};
 use dorado_base::{MicroAddr, MICROSTORE_SIZE};
 
 /// One used microstore word and its static flow edges.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Node {
     /// Where the word lives.
     pub addr: MicroAddr,
@@ -29,12 +29,12 @@ pub struct Node {
     /// Static successors (only used words; transfers into unused words
     /// are structural violations and carry no edge).
     pub succs: Vec<MicroAddr>,
-    /// Static predecessors.
+    /// Static predecessors, in ascending address order.
     pub preds: Vec<MicroAddr>,
 }
 
 /// The control-flow graph: a dense array over the 4096-word store.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Cfg {
     nodes: Vec<Option<Node>>,
 }
@@ -79,6 +79,46 @@ impl Cfg {
             }
         }
         Cfg { nodes }
+    }
+
+    /// Rewrites the used word at `addr` in place — the CFG half of
+    /// patching one word of the image (branch-slot filling and its
+    /// undo).  Only the edges out of `addr` move: it leaves the
+    /// predecessor lists of its old successors and joins those of its
+    /// new ones, in address order, so the result equals [`Cfg::build`]
+    /// of the patched image as long as the set of used words is
+    /// unchanged.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the word at `addr` is not a node.
+    pub fn replace(&mut self, addr: MicroAddr, word: Microword, relay: bool) {
+        let i = addr.raw() as usize;
+        let node = self.nodes[i]
+            .as_mut()
+            .unwrap_or_else(|| panic!("Cfg::replace at {addr}: word is not used"));
+        node.word = word;
+        node.relay = relay;
+        let old = std::mem::take(&mut node.succs);
+        for s in old {
+            if let Some(t) = self.nodes[s.raw() as usize].as_mut() {
+                t.preds.retain(|&p| p != addr);
+            }
+        }
+        let succs: Vec<MicroAddr> = successors(addr, word)
+            .into_iter()
+            .filter(|&s| self.nodes[s.raw() as usize].is_some())
+            .collect();
+        for &s in &succs {
+            if let Some(t) = self.nodes[s.raw() as usize].as_mut() {
+                if let Err(k) = t.preds.binary_search(&addr) {
+                    t.preds.insert(k, addr);
+                }
+            }
+        }
+        if let Some(node) = self.nodes[i].as_mut() {
+            node.succs = succs;
+        }
     }
 
     /// The node at `addr`, if that word is used.

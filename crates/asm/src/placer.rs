@@ -86,7 +86,7 @@ impl PlacementStats {
 
 /// A placed microprogram: the 4096-word store image plus symbol and
 /// provenance information.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PlacedProgram {
     words: Vec<Microword>,
     uses: Vec<SlotUse>,
@@ -163,6 +163,25 @@ impl PlacedProgram {
         self.uses[raw] = SlotUse::Inst(inst);
         self.stats.relays -= 1;
         self.stats.instructions += 1;
+    }
+
+    /// Undoes [`PlacedProgram::fill_relay`]: puts the relay `word` to
+    /// `target` back at `addr`, restoring provenance and statistics.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the slot at `addr` does not hold an instruction.
+    pub fn unfill_relay(&mut self, addr: MicroAddr, word: Microword, target: String) {
+        let raw = addr.raw() as usize;
+        assert!(
+            matches!(self.uses[raw], SlotUse::Inst(_)),
+            "unfill_relay at {addr}: slot holds {:?}, not an instruction",
+            self.uses[raw]
+        );
+        self.words[raw] = word;
+        self.uses[raw] = SlotUse::Relay(target);
+        self.stats.relays += 1;
+        self.stats.instructions -= 1;
     }
 }
 

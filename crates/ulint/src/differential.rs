@@ -13,7 +13,7 @@
 //! actually exercised — static prediction is intentionally a superset
 //! (a site that *can* hold need not hold on one particular run).
 
-use dorado_base::{BaseRegId, HoldCause, MicroAddr, TaskId, VirtAddr, Word};
+use dorado_base::{BaseRegId, HoldCause, MicroAddr, TaskId, VirtAddr, Word, MICROSTORE_SIZE};
 use dorado_emu::layout::{
     BR_DISK, BR_DISPLAY, BR_NET, IOA_DISK, IOA_DISPLAY, IOA_NET, TASK_DISK, TASK_DISPLAY,
     TASK_EMU, TASK_NET,
@@ -213,7 +213,9 @@ fn observe(
     for (cause, tally) in HoldCause::ALL.iter().zip(out.causes.iter_mut()) {
         tally.predicted = sites.by_cause[cause.index()].len();
     }
-    let mut exercised: [Vec<MicroAddr>; HoldCause::COUNT] = Default::default();
+    // Dense: bit `cause.index()` of `exercised[raw]` marks a predicted
+    // site the run held at.
+    let mut exercised = vec![0u8; MICROSTORE_SIZE];
     let mut missed: Vec<(HoldCause, MicroAddr)> = Vec::new();
     let mut prev_stack_error = m.datapath().stack_error;
     for _ in 0..max_cycles {
@@ -222,9 +224,7 @@ fn observe(
         if let Some(cause) = ev.held {
             out.causes[cause.index()].held_cycles += 1;
             if sites.predicts(cause, ev.addr) {
-                if !exercised[cause.index()].contains(&ev.addr) {
-                    exercised[cause.index()].push(ev.addr);
-                }
+                exercised[ev.addr.raw() as usize] |= 1 << cause.index();
             } else if !missed.contains(&(cause, ev.addr)) {
                 missed.push((cause, ev.addr));
             }
@@ -245,8 +245,11 @@ fn observe(
             break;
         }
     }
-    for (tally, ex) in out.causes.iter_mut().zip(exercised.iter()) {
-        tally.exercised = ex.len();
+    for cause in HoldCause::ALL {
+        out.causes[cause.index()].exercised = exercised
+            .iter()
+            .filter(|&&bits| bits & (1 << cause.index()) != 0)
+            .count();
     }
     out.missed_holds = missed;
     out

@@ -47,6 +47,7 @@ pub mod cfg;
 pub mod diag;
 pub mod differential;
 pub mod passes;
+pub mod session;
 
 use std::time::Duration;
 
@@ -60,6 +61,7 @@ pub use passes::hold::{fetch_started, hold_sites, HoldSites};
 pub use passes::stack_depth::stack_sites;
 pub use passes::wasted_slot::{wasted_slots, WasteKind, WastedSlot};
 pub use passes::{all_passes, Pass, PassCtx};
+pub use session::LintSession;
 
 /// Label prefixes that mark I/O-task microcode entries; all other
 /// labels are emulator-task code (the label conventions are set by the
@@ -167,6 +169,47 @@ impl Analyses {
             config: &self.config,
             emu_reach: &self.emu_reach,
             io_reach: &self.io_reach,
+            fetch_started: &self.fetch_started,
+            floor: Severity::Info,
+        }
+    }
+}
+
+/// The root-driven facts every pass shares: emulator and I/O
+/// reachability and the fetch-started inputs from all roots.
+struct RootFacts {
+    emu_reach: Vec<bool>,
+    io_reach: Vec<bool>,
+    fetch_started: Vec<bool>,
+}
+
+impl RootFacts {
+    fn compute(cfg: &Cfg, config: &LintConfig) -> Self {
+        let emu: Vec<MicroAddr> = config.emu_roots.iter().map(|&(_, a)| a).collect();
+        let io: Vec<MicroAddr> = config.io_roots.iter().map(|&(_, a)| a).collect();
+        let all_roots: Vec<MicroAddr> = emu.iter().chain(io.iter()).copied().collect();
+        RootFacts {
+            emu_reach: cfg.reach(&emu),
+            io_reach: cfg.reach(&io),
+            fetch_started: passes::hold::fetch_started(cfg, &all_roots),
+        }
+    }
+
+    fn ctx<'a>(
+        &'a self,
+        placed: &'a PlacedProgram,
+        cfg: &'a Cfg,
+        config: &'a LintConfig,
+        floor: Severity,
+    ) -> PassCtx<'a> {
+        PassCtx {
+            placed,
+            cfg,
+            config,
+            emu_reach: &self.emu_reach,
+            io_reach: &self.io_reach,
+            fetch_started: &self.fetch_started,
+            floor,
         }
     }
 }
@@ -179,26 +222,16 @@ pub fn analyze(placed: &PlacedProgram) -> Analyses {
 /// Analyzes `placed` under an explicit root classification.
 pub fn analyze_with_config(placed: &PlacedProgram, config: LintConfig) -> Analyses {
     let cfg = Cfg::build(placed);
-    let emu: Vec<MicroAddr> = config.emu_roots.iter().map(|&(_, a)| a).collect();
-    let io: Vec<MicroAddr> = config.io_roots.iter().map(|&(_, a)| a).collect();
-    let emu_reach = cfg.reach(&emu);
-    let io_reach = cfg.reach(&io);
-    let all_roots: Vec<MicroAddr> = emu.iter().chain(io.iter()).copied().collect();
-    let fetch_started = passes::hold::fetch_started(&cfg, &all_roots);
+    let facts = RootFacts::compute(&cfg, &config);
     let (hold, cnt_arms, wasted) = {
-        let ctx = PassCtx {
-            placed,
-            cfg: &cfg,
-            config: &config,
-            emu_reach: &emu_reach,
-            io_reach: &io_reach,
-        };
-        (
-            hold_sites(ctx.cfg),
-            cnt_dead_arms(&ctx),
-            wasted_slots(&ctx),
-        )
+        let ctx = facts.ctx(placed, &cfg, &config, Severity::Info);
+        (hold_sites(ctx.cfg), cnt_dead_arms(&ctx), wasted_slots(&ctx))
     };
+    let RootFacts {
+        emu_reach,
+        io_reach,
+        fetch_started,
+    } = facts;
     Analyses {
         config,
         cfg,
@@ -216,11 +249,19 @@ pub fn lint(placed: &PlacedProgram) -> LintReport {
     lint_with_config(placed, &LintConfig::infer(placed))
 }
 
-/// Lints `placed` with an explicit root classification: runs [`analyze`]
-/// once and renders every pass's findings over the shared facts.
+/// Lints `placed` with an explicit root classification: builds the CFG
+/// and the shared root facts once and renders every pass's findings
+/// over them.
 pub fn lint_with_config(placed: &PlacedProgram, config: &LintConfig) -> LintReport {
-    let analyses = analyze_with_config(placed, config.clone());
-    let ctx = analyses.ctx(placed);
+    lint_cfg(placed, &Cfg::build(placed), config, Severity::Info)
+}
+
+/// Runs every pass over `cfg` (the CFG of `placed`), building findings
+/// at `floor` and above — the one pipeline behind both
+/// [`lint_with_config`] and the count-only [`LintSession`].
+fn lint_cfg(placed: &PlacedProgram, cfg: &Cfg, config: &LintConfig, floor: Severity) -> LintReport {
+    let facts = RootFacts::compute(cfg, config);
+    let ctx = facts.ctx(placed, cfg, config, floor);
     let mut report = LintReport::default();
     for pass in all_passes() {
         let start = std::time::Instant::now();

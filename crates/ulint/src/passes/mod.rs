@@ -4,7 +4,7 @@ use dorado_asm::{ControlOp, FfOp, Microword, PlacedProgram};
 use dorado_base::MicroAddr;
 
 use crate::cfg::Cfg;
-use crate::diag::Diagnostic;
+use crate::diag::{Diagnostic, Severity};
 use crate::LintConfig;
 
 pub mod branch_window;
@@ -27,9 +27,23 @@ pub struct PassCtx<'a> {
     pub emu_reach: &'a [bool],
     /// Words reachable from I/O-task roots.
     pub io_reach: &'a [bool],
+    /// Per-word input of the "a fetch may have started" analysis from
+    /// every root (dense, by raw address; see [`hold::fetch_started`]).
+    pub fetch_started: &'a [bool],
+    /// The least severity the passes build findings at.  `Info` is the
+    /// full report; `Warning` skips every informational finding, which
+    /// leaves the error and warning counts unchanged and is what a
+    /// count-only lint ([`crate::LintSession`]) runs at.
+    pub floor: Severity,
 }
 
 impl PassCtx<'_> {
+    /// Whether findings at `severity` are built under this context's
+    /// [`floor`](PassCtx::floor).
+    pub fn reports(&self, severity: Severity) -> bool {
+        severity >= self.floor
+    }
+
     /// Emulator-task root addresses.
     pub fn emu_roots(&self) -> Vec<MicroAddr> {
         self.config.emu_roots.iter().map(|&(_, a)| a).collect()

@@ -140,13 +140,15 @@ impl Pass for StackDepth {
                     })
                 });
                 if has_exit {
-                    out.push(Diagnostic::new(
-                        self.name(),
-                        Severity::Info,
-                        node.addr,
-                        "stack depth in this loop is bounded only by its iteration count \
-                         (net push/pop per circuit is nonzero)",
-                    ));
+                    if ctx.reports(Severity::Info) {
+                        out.push(Diagnostic::new(
+                            self.name(),
+                            Severity::Info,
+                            node.addr,
+                            "stack depth in this loop is bounded only by its iteration count \
+                             (net push/pop per circuit is nonzero)",
+                        ));
+                    }
                 } else {
                     out.push(
                         Diagnostic::new(
@@ -174,7 +176,7 @@ impl Pass for StackDepth {
                         span.lo, span.hi
                     ),
                 ));
-            } else if span.lo != 0 || span.hi != 0 {
+            } else if (span.lo != 0 || span.hi != 0) && ctx.reports(Severity::Info) {
                 out.push(Diagnostic::new(
                     self.name(),
                     Severity::Info,
