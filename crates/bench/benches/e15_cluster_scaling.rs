@@ -30,6 +30,7 @@
 
 use std::time::Instant;
 
+use dorado_bench::json_number;
 use dorado_cluster::{ClusterConfig, ClusterSim, Exec};
 
 const WINDOW: u16 = 3;
@@ -69,18 +70,6 @@ fn run_saturation(period: u16, quick: bool) -> ClusterSim {
     let mut sim = ClusterSim::build(&cfg).expect("cluster builds");
     sim.run(if quick { 50 } else { 150 }, Exec::Pool(0));
     sim
-}
-
-/// Pulls `"key": <number>` out of a flat JSON object without a JSON
-/// dependency (the results file is machine-written, flat, and ours).
-fn json_number(text: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\"");
-    let rest = &text[text.find(&needle)? + needle.len()..];
-    let rest = rest.trim_start().strip_prefix(':')?.trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e' || c == 'E' || c == '+'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
 }
 
 fn main() {

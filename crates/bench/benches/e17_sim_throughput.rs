@@ -11,12 +11,11 @@
 //!   the closed-loop RPC workload, sequential executor (low noise).
 //!   Network-idle-heavy: machines spend long stretches with empty FIFOs.
 //!
-//! Each workload runs three ways: `always_tick` (the naive reference —
-//! every device ticked every cycle, exactly the pre-scheduler simulator),
-//! `scheduled` (the event-horizon default), and `compiled` (E20: the
-//! basic-block superinstruction core on top of the scheduler).  All modes
-//! are asserted to produce the same architectural results before any
-//! number is reported.
+//! Each workload runs two ways: `always_tick` (the naive reference —
+//! every device ticked every cycle, exactly the pre-scheduler simulator)
+//! and `scheduled` (the event-horizon default).  Both modes are asserted
+//! to produce the same architectural results before any number is
+//! reported.
 //!
 //! ```sh
 //! cargo bench -p dorado-bench --bench e17_sim_throughput               # full
@@ -25,17 +24,15 @@
 //! cargo bench ... -- --check BENCH_PERF.json    # fail if >25% below committed
 //! ```
 //!
-//! The `--check` gate compares the *scheduled* throughput against the
-//! committed `BENCH_PERF.json` and fails on a >25% regression.  Set
-//! `DORADO_E17_NO_GATE=1` to skip the gate (slow or shared hardware).
-//! The compiled-mode speedup ratios are gated the same way under
-//! `DORADO_E20_NO_GATE=1`.
+//! The `--check` gate compares the scheduled-vs-naive speedup ratios
+//! against the committed `BENCH_PERF.json` and fails on a >25%
+//! regression.  Set `DORADO_E17_NO_GATE=1` to skip the gate (slow or
+//! shared hardware).
 
 use std::time::Instant;
 
-use dorado_bench::workstation_machine;
+use dorado_bench::{json_number, workstation_machine};
 use dorado_cluster::{ClusterConfig, ClusterSim, Exec};
-use dorado_core::ExecMode;
 use dorado_emu::mesa;
 
 /// One measured configuration of a workload.
@@ -45,12 +42,10 @@ enum Mode {
     Naive,
     /// Event-horizon scheduled interpreter (the default).
     Scheduled,
-    /// Scheduled plus the compiled basic-block core.
-    Compiled,
 }
 
 impl Mode {
-    const ALL: [Mode; 3] = [Mode::Naive, Mode::Scheduled, Mode::Compiled];
+    const ALL: [Mode; 2] = [Mode::Naive, Mode::Scheduled];
 }
 
 const WINDOW: u16 = 3;
@@ -79,9 +74,6 @@ const QUICK: Sized = Sized {
 fn run_workstation(budget: u64, mode: Mode) -> (u64, f64, dorado_base::Word) {
     let mut m = workstation_machine();
     m.io_mut().set_always_tick(mode == Mode::Naive);
-    if mode == Mode::Compiled {
-        m.set_exec_mode(ExecMode::Compiled);
-    }
     let t = Instant::now();
     m.run(budget);
     let secs = t.elapsed().as_secs_f64();
@@ -96,9 +88,6 @@ fn run_cluster(epochs: u64, mode: Mode) -> (u64, f64, u64) {
     let mut sim = ClusterSim::build(&cfg).expect("cluster builds");
     for m in &mut sim.machines {
         m.io_mut().set_always_tick(mode == Mode::Naive);
-        if mode == Mode::Compiled {
-            m.set_exec_mode(ExecMode::Compiled);
-        }
     }
     let t = Instant::now();
     sim.run(epochs, Exec::Sequential);
@@ -108,15 +97,15 @@ fn run_cluster(epochs: u64, mode: Mode) -> (u64, f64, u64) {
 }
 
 /// Best-of-N Mcycles/s for every mode of one workload, sampled
-/// *interleaved* (naive, scheduled, compiled, naive, ...) so a sustained
-/// slow window on a shared host hits all sides rather than biasing the
-/// ratios.  Asserts every sample reproduces the same architectural result
-/// and that all modes agree on it.
+/// *interleaved* (naive, scheduled, naive, ...) so a sustained slow
+/// window on a shared host hits both sides rather than biasing the ratio.
+/// Asserts every sample reproduces the same architectural result and that
+/// both modes agree on it.
 fn measure_modes<C: PartialEq + std::fmt::Debug>(
     samples: usize,
     mut run: impl FnMut(Mode) -> (u64, f64, C),
-) -> ([f64; 3], C) {
-    let mut best = [0.0f64; 3];
+) -> ([f64; 2], C) {
+    let mut best = [0.0f64; 2];
     let (mut cycles0, mut check0) = (None, None);
     for _ in 0..samples.max(1) {
         for (slot, mode) in Mode::ALL.into_iter().enumerate() {
@@ -135,45 +124,6 @@ fn measure_modes<C: PartialEq + std::fmt::Debug>(
         }
     }
     (best, check0.expect("at least one sample"))
-}
-
-/// One instrumented compiled-mode workstation run for the E20 telemetry
-/// lines: fused-frame coverage plus the basic-block length census.
-fn workstation_telemetry(budget: u64) {
-    let mut m = workstation_machine();
-    m.set_exec_mode(ExecMode::Compiled);
-    m.run(budget);
-    let (frames, fused) = m.fused_coverage();
-    let total = m.cycles().max(1);
-    println!(
-        "E20 | workstation coverage: {fused}/{total} cycles fused ({:.1}%), {frames} frames, avg {:.1} cycles/frame",
-        fused as f64 * 100.0 / total as f64,
-        fused as f64 / frames.max(1) as f64,
-    );
-    let lens = m.compiled_block_lengths();
-    let census = |lo: u32, hi: u32| lens.iter().filter(|&&l| l >= lo && l <= hi).count();
-    println!(
-        "E20 | block census: {} blocks, len 1: {}, 2: {}, 3-4: {}, 5-8: {}, 9+: {}, max {}",
-        lens.len(),
-        census(1, 1),
-        census(2, 2),
-        census(3, 4),
-        census(5, 8),
-        census(9, u32::MAX),
-        lens.iter().max().copied().unwrap_or(0),
-    );
-}
-
-/// Pulls `"key": <number>` out of a flat JSON object without a JSON
-/// dependency (the results file is machine-written, flat, and ours).
-fn json_number(text: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\"");
-    let rest = &text[text.find(&needle)? + needle.len()..];
-    let rest = rest.trim_start().strip_prefix(':')?.trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e' || c == 'E' || c == '+'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
 }
 
 fn main() {
@@ -202,34 +152,25 @@ fn main() {
         if quick { " (quick)" } else { "" },
     );
 
-    let ([ws_naive, ws_sched, ws_comp], fib) = measure_modes(size.samples, |mode| {
+    let ([ws_naive, ws_sched], fib) = measure_modes(size.samples, |mode| {
         run_workstation(size.workstation_cycles, mode)
     });
     let ws_speedup = ws_sched / ws_naive.max(1e-9);
-    let ws_comp_speedup = ws_comp / ws_sched.max(1e-9);
     println!(
         "E17 | workstation: always_tick {ws_naive:.2} Mcycles/s, scheduled {ws_sched:.2} Mcycles/s, speedup x{ws_speedup:.2} (fib(15) = {fib})"
     );
-    println!(
-        "E20 | workstation: compiled {ws_comp:.2} Mcycles/s, x{ws_comp_speedup:.2} over scheduled"
-    );
-    workstation_telemetry(size.workstation_cycles);
 
-    let ([cl_naive, cl_sched, cl_comp], responses) = measure_modes(size.samples, |mode| {
+    let ([cl_naive, cl_sched], responses) = measure_modes(size.samples, |mode| {
         run_cluster(size.cluster_epochs, mode)
     });
     let cl_speedup = cl_sched / cl_naive.max(1e-9);
-    let cl_comp_speedup = cl_comp / cl_sched.max(1e-9);
     println!(
         "E17 | cluster8: always_tick {cl_naive:.2} Mcycles/s, scheduled {cl_sched:.2} Mcycles/s, speedup x{cl_speedup:.2} ({responses} responses)"
-    );
-    println!(
-        "E20 | cluster8: compiled {cl_comp:.2} Mcycles/s, x{cl_comp_speedup:.2} over scheduled"
     );
 
     if let Some(path) = &json_path {
         let json = format!(
-            "{{\n  \"schema\": \"dorado-e17-v2\",\n  \"quick\": {quick},\n  \"workstation_always_tick_mcps\": {ws_naive:.3},\n  \"workstation_scheduled_mcps\": {ws_sched:.3},\n  \"workstation_speedup\": {ws_speedup:.3},\n  \"workstation_compiled_mcps\": {ws_comp:.3},\n  \"workstation_compiled_speedup\": {ws_comp_speedup:.3},\n  \"cluster8_always_tick_mcps\": {cl_naive:.3},\n  \"cluster8_scheduled_mcps\": {cl_sched:.3},\n  \"cluster8_speedup\": {cl_speedup:.3},\n  \"cluster8_compiled_mcps\": {cl_comp:.3},\n  \"cluster8_compiled_speedup\": {cl_comp_speedup:.3}\n}}\n"
+            "{{\n  \"schema\": \"dorado-e17-v3\",\n  \"quick\": {quick},\n  \"workstation_always_tick_mcps\": {ws_naive:.3},\n  \"workstation_scheduled_mcps\": {ws_sched:.3},\n  \"workstation_speedup\": {ws_speedup:.3},\n  \"cluster8_always_tick_mcps\": {cl_naive:.3},\n  \"cluster8_scheduled_mcps\": {cl_sched:.3},\n  \"cluster8_speedup\": {cl_speedup:.3}\n}}\n"
         );
         std::fs::write(path, json).expect("write results json");
         println!("E17 | wrote {path}");
@@ -240,40 +181,35 @@ fn main() {
             .unwrap_or_else(|e| panic!("--check {path}: {e}"));
         // Absolute Mcycles/s is not comparable across hosts (or even across
         // invocations on a noisy shared runner — we have measured ±2×), so
-        // the hard gates are on the *in-process* speedup ratios, which
-        // cancel host speed: scheduled-vs-naive (E17) and
-        // compiled-vs-scheduled (E20).  Absolute throughput is still
+        // the hard gate is on the *in-process* scheduled-vs-naive speedup
+        // ratios, which cancel host speed.  Absolute throughput is still
         // printed against the committed numbers for the log.
-        let skip = |var: &str| std::env::var(var).is_ok_and(|v| v == "1");
-        let (skip_e17, skip_e20) = (skip("DORADO_E17_NO_GATE"), skip("DORADO_E20_NO_GATE"));
+        if std::env::var("DORADO_E17_NO_GATE").is_ok_and(|v| v == "1") {
+            println!("E17 | gate skipped (DORADO_E17_NO_GATE=1)");
+            return;
+        }
         let mut failed = false;
-        for (tag, skipped, key, measured, abs_key, abs) in [
-            ("E17", skip_e17, "workstation_speedup", ws_speedup, "workstation_scheduled_mcps", ws_sched),
-            ("E17", skip_e17, "cluster8_speedup", cl_speedup, "cluster8_scheduled_mcps", cl_sched),
-            ("E20", skip_e20, "workstation_compiled_speedup", ws_comp_speedup, "workstation_compiled_mcps", ws_comp),
-            ("E20", skip_e20, "cluster8_compiled_speedup", cl_comp_speedup, "cluster8_compiled_mcps", cl_comp),
+        for (key, measured, abs_key, abs) in [
+            ("workstation_speedup", ws_speedup, "workstation_scheduled_mcps", ws_sched),
+            ("cluster8_speedup", cl_speedup, "cluster8_scheduled_mcps", cl_sched),
         ] {
-            if skipped {
-                println!("{tag} | gate {key} skipped (DORADO_{tag}_NO_GATE=1)");
-                continue;
-            }
             let baseline = json_number(&committed, key)
                 .unwrap_or_else(|| panic!("--check {path}: missing key {key}"));
             let floor = baseline * 0.75;
             let verdict = if measured < floor { "FAIL" } else { "ok" };
             println!(
-                "{tag} | gate {key}: measured x{measured:.2} vs committed x{baseline:.2} (floor x{floor:.2}) {verdict}"
+                "E17 | gate {key}: measured x{measured:.2} vs committed x{baseline:.2} (floor x{floor:.2}) {verdict}"
             );
             failed |= measured < floor;
             if let Some(abs_base) = json_number(&committed, abs_key) {
                 println!(
-                    "{tag} | info {abs_key}: measured {abs:.2} vs committed {abs_base:.2} (host-dependent, not gated)"
+                    "E17 | info {abs_key}: measured {abs:.2} vs committed {abs_base:.2} (host-dependent, not gated)"
                 );
             }
         }
         if failed {
             eprintln!(
-                "E17 | a mode-speedup ratio regressed >25% vs {path}; rerun the full bench and recommit, or set DORADO_E17_NO_GATE=1 / DORADO_E20_NO_GATE=1"
+                "E17 | a scheduler speedup ratio regressed >25% vs {path}; rerun the full bench and recommit, or set DORADO_E17_NO_GATE=1"
             );
             std::process::exit(1);
         }

@@ -377,6 +377,19 @@ pub fn hold_overlap() -> (u64, u64, u64) {
     (alone, shared, disp)
 }
 
+/// Pulls `"key": <number>` out of a flat JSON object without a JSON
+/// dependency (the `BENCH_*.json` results files are machine-written,
+/// flat, and ours).  Used by the benches' `--check` gates.
+pub fn json_number(text: &str, key: &str) -> Option<f64> {
+    let needle = format!("\"{key}\"");
+    let rest = &text[text.find(&needle)? + needle.len()..];
+    let rest = rest.trim_start().strip_prefix(':')?.trim_start();
+    let end = rest
+        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e' || c == 'E' || c == '+'))
+        .unwrap_or(rest.len());
+    rest[..end].parse().ok()
+}
+
 /// Builds a standard Mesa machine for simulator-throughput benchmarking.
 pub fn mesa_machine_for_throughput() -> Dorado {
     build_mesa(&spinning_mesa()).expect("machine")

@@ -44,7 +44,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod compiled;
 pub mod console;
 pub mod control;
 pub mod datapath;

@@ -30,26 +30,21 @@ use dorado_ifu::Ifu;
 use dorado_io::{Device, IoSystem};
 use dorado_mem::{MemConfig, MemorySystem};
 
-use crate::compiled::{self, CompiledProgram};
-use crate::control::{ControlSection, Stage1, TaskingMode};
+use crate::control::{ControlSection, TaskingMode};
 use crate::datapath::{CondFlags, DataSection};
 use crate::decoded::DecodedInst;
 use crate::trace::{CacheOutcome, TraceEvent, Tracer};
 
-/// How [`Dorado::run`] and [`Dorado::run_quantum`] execute microcode.
+/// How the machine executes microcode.  There is one execution core,
+/// the per-cycle interpreter in [`Dorado::step`]; this one-variant enum
+/// remains only because the repository benchmark package names
+/// `ExecMode::Interpreted` when it drives scenarios.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExecMode {
     /// Per-cycle interpretation: fetch, decode lookup, arbitration, hold
-    /// check, execute — every cycle.  The reference semantics.
+    /// check, execute — every cycle.
     #[default]
     Interpreted,
-    /// Compiled simulation: emulator-task stretches run as fused
-    /// basic-block superinstructions with arbitration, device clocks, and
-    /// scheduler bookkeeping hoisted to block entry/exit (see
-    /// [`crate::compiled`]).  Architecturally invisible: every observable
-    /// — statistics, traces, snapshot images — is bit-identical to
-    /// [`ExecMode::Interpreted`].
-    Compiled,
 }
 
 /// What one [`Dorado::step`] did.
@@ -195,7 +190,6 @@ pub struct DoradoBuilder {
     wires: Vec<(TaskId, Word)>,
     entries: Vec<(TaskId, String)>,
     wedge_limit: Option<u64>,
-    exec_mode: ExecMode,
 }
 
 impl DoradoBuilder {
@@ -270,13 +264,6 @@ impl DoradoBuilder {
         self
     }
 
-    /// Selects the execution mode (interpreted vs compiled simulation).
-    #[must_use]
-    pub fn exec_mode(mut self, mode: ExecMode) -> Self {
-        self.exec_mode = mode;
-        self
-    }
-
     /// Builds the machine.
     ///
     /// # Errors
@@ -310,9 +297,6 @@ impl DoradoBuilder {
             io,
             store,
             decoded,
-            placed,
-            exec_mode: self.exec_mode,
-            compiled: None,
             labels,
             bypass: self.bypass.unwrap_or(true),
             pending_wb: WbQueue::default(),
@@ -325,8 +309,6 @@ impl DoradoBuilder {
             consecutive_holds: 0,
             wedge_limit: self.wedge_limit.unwrap_or(100_000),
             breakpoints: std::collections::HashSet::new(),
-            fused_frames: 0,
-            fused_cycles: 0,
         };
         for (task, ioaddr) in self.wires {
             machine.dp.ioaddress[task.index()] = ioaddr;
@@ -355,14 +337,6 @@ pub struct Dorado {
     io: IoSystem,
     store: Vec<Microword>,
     decoded: Vec<DecodedInst>,
-    /// The placed image, retained so the compiled-mode translator can
-    /// rebuild its block table (with patched words) after any
-    /// control-store write.
-    placed: PlacedProgram,
-    exec_mode: ExecMode,
-    /// Lazily built superinstruction table; `None` = invalidated (never
-    /// yet built, control store written, or snapshot restored).
-    compiled: Option<Box<CompiledProgram>>,
     labels: std::collections::HashMap<String, MicroAddr>,
     bypass: bool,
     pending_wb: WbQueue,
@@ -375,12 +349,6 @@ pub struct Dorado {
     consecutive_holds: u64,
     wedge_limit: u64,
     breakpoints: std::collections::HashSet<MicroAddr>,
-    /// Fused frames entered and cycles retired inside them (compiled mode
-    /// only).  Host-side coverage telemetry for E20 — deliberately not
-    /// part of [`Stats`] or the snapshot image, which must stay
-    /// mode-independent.
-    fused_frames: u64,
-    fused_cycles: u64,
 }
 
 impl std::fmt::Debug for Dorado {
@@ -545,9 +513,6 @@ impl Dorado {
 
     /// Runs until halt, a breakpoint, the cycle budget, or a wedge.
     pub fn run(&mut self, max_cycles: u64) -> RunOutcome {
-        if self.exec_mode == ExecMode::Compiled {
-            return self.run_compiled(max_cycles);
-        }
         let start = self.stats.cycles;
         if self.breakpoints.is_empty() {
             // Hot path: no per-cycle breakpoint probe, and the wedge test
@@ -616,402 +581,10 @@ impl Dorado {
     /// consuming cycles rather than trip the wedge detector.
     pub fn run_quantum(&mut self, cycles: u64) -> u64 {
         let start = self.stats.cycles;
-        if self.exec_mode == ExecMode::Compiled {
-            self.ensure_compiled();
-            while !self.halted && self.stats.cycles - start < cycles {
-                // Budget the frame with the exact remaining quantum: the
-                // returned count and every statistic must match the
-                // interpreter even when the quantum boundary lands
-                // mid-block.  Breakpoints and the wedge detector do not
-                // cut quanta short (see above), so the frame ignores both
-                // — a wedge-limit frame exit just re-enters here.
-                let remaining = cycles - (self.stats.cycles - start);
-                if self.frame_ready() && self.run_fused_frame(remaining, false, false) > 0 {
-                    continue;
-                }
-                self.step();
-            }
-            return self.stats.cycles - start;
-        }
         while !self.halted && self.stats.cycles - start < cycles {
             self.step();
         }
         self.stats.cycles - start
-    }
-
-    /// [`Dorado::run`] in compiled mode: alternate fused basic-block
-    /// frames (while the emulator task owns the machine and the I/O event
-    /// horizon is open) with interpreted single steps everywhere else —
-    /// task switches, deoptimizing instructions, unplaced addresses.  The
-    /// outer loop's checks are identical to the interpreted path, so
-    /// outcomes, cycle counts, and statistics agree exactly.
-    fn run_compiled(&mut self, max_cycles: u64) -> RunOutcome {
-        let start = self.stats.cycles;
-        self.ensure_compiled();
-        while !self.halted {
-            let done = self.stats.cycles - start;
-            if done >= max_cycles {
-                return RunOutcome::CycleLimit { cycles: done };
-            }
-            if self.consecutive_holds > self.wedge_limit {
-                return RunOutcome::Wedged {
-                    at: self.control.this_pc,
-                    task: self.control.this_task,
-                };
-            }
-            if !self.breakpoints.is_empty()
-                && self.stats.cycles > start
-                && self.breakpoints.contains(&self.control.this_pc)
-            {
-                return RunOutcome::Breakpoint {
-                    at: self.control.this_pc,
-                    task: self.control.this_task,
-                };
-            }
-            if self.frame_ready()
-                && self.run_fused_frame(max_cycles - done, true, self.stats.cycles == start) > 0
-            {
-                continue;
-            }
-            self.step();
-        }
-        RunOutcome::Halted {
-            cycles: self.stats.cycles - start,
-        }
-    }
-
-    /// Cheap preconditions for entering a fused frame: the emulator task
-    /// holds the machine and no preempted task is parked in READY.  (The
-    /// frame itself re-checks the I/O-side conditions and returns 0 when
-    /// any fails.)
-    #[inline]
-    fn frame_ready(&self) -> bool {
-        self.control.this_task == TaskId::EMULATOR && self.control.ready.is_empty()
-    }
-
-    fn run_fused_frame(&mut self, budget: u64, honor_bp: bool, skip_bp_first: bool) -> u64 {
-        if self.tracer.is_some() {
-            self.fused_frame::<true>(budget, honor_bp, skip_bp_first)
-        } else {
-            self.fused_frame::<false>(budget, honor_bp, skip_bp_first)
-        }
-    }
-
-    /// Executes fused basic-block superinstructions until a deoptimization
-    /// point, the cycle `budget`, a device wakeup, a breakpoint, or a
-    /// wedge-limit overrun; returns the cycles consumed (0 = conditions
-    /// not met, caller interprets one step).
-    ///
-    /// # Why eliding the per-cycle scheduler is exact
-    ///
-    /// Entry requires: task 0 running, READY empty, no wakeups asserted,
-    /// and the NEXT bus already carrying task 0.  The device clock is
-    /// hoisted out of the cycle loop in *stable spans*
-    /// ([`IoSystem::stable_span`]): stretches over which no wakeup or
-    /// attention line can move, so the deferred ticks are settled en bloc
-    /// ([`IoSystem::tick_span`]) at span boundaries and frame exits with
-    /// bit-identical device state.  At a span boundary the frame drops to
-    /// a per-cycle tick and breaks on the first cycle whose tick raises a
-    /// wakeup.  Every *other* per-cycle interpreter phase is provably a
-    /// no-op until the frame exits:
-    ///
-    /// * arbitration — requests stay `{0}` while no wakeup is up and READY
-    ///   is empty, so `stage1` is `(0, tpc[0])` every cycle; the exit
-    ///   fixup stores the final latch value, which is `(0, addr of the
-    ///   last processed instruction)` because phase 3 writes `tpc[0]`
-    ///   before phase 1 reads it back.  On a wakeup break the latch is
-    ///   instead materialized by re-running the arbitration for that
-    ///   cycle, whose NEXT decision (made from the *previous* latch, the
-    ///   §6.2.1 two-cycle grain) still ran task 0 — so the woken cycle
-    ///   itself executes in-frame and the interpreter takes over from the
-    ///   next one, switching exactly when the interpreter would have.
-    /// * the NEXT decision — `stage1.task == task == 0` and task-0
-    ///   `block` means stack op, not wakeup-block, so `next == task`, no
-    ///   READY transfer happens, and `observe_next(0)` is edge-filtered
-    ///   to a no-op by the entry condition on the NEXT bus.
-    /// * `WakeTask`, `WriteTpc`/`ReadTpc`, and `Halt` — the only
-    ///   instructions that could invalidate the above from *inside* the
-    ///   frame — deoptimize, as does everything that talks to a device
-    ///   register file.
-    ///
-    /// Held cycles stall *inside* the frame (drain, count, tick), exactly
-    /// like the interpreter's no-op-jump-to-self, so MEMDATA waits and
-    /// IFU refills behave identically.  `Cond::IoAtten` reads the
-    /// attention line, which the span contract freezes, so the deferred
-    /// tick order is invisible to it.
-    fn fused_frame<const TRACED: bool>(
-        &mut self,
-        budget: u64,
-        honor_bp: bool,
-        skip_bp_first: bool,
-    ) -> u64 {
-        let task = TaskId::EMULATOR;
-        // The frame elides the per-cycle NEXT broadcast, so the bus must
-        // already carry task 0 (always true after one interpreted task-0
-        // cycle; only a freshly built machine fails this).  Grain-3 mode
-        // never broadcasts, so there is nothing to elide.
-        let next_settled = match self.tasking {
-            TaskingMode::OnDemand => self.io.next_was(task),
-            TaskingMode::NotifyGrain3 => true,
-        };
-        if !next_settled || !self.io.wakeups().is_empty() || budget == 0 {
-            return 0;
-        }
-        let compiled = self.compiled.take().expect("ensured by caller");
-        let watch_bp = honor_bp && !self.breakpoints.is_empty();
-        let cycle_base = self.stats.cycles;
-        let mut used: u64 = 0;
-        let mut executed: u64 = 0;
-        let mut woke = false;
-        let mut pc = self.control.this_pc;
-        let mut last_addr = pc;
-        // The prefetcher usually saturates its buffer during straight-line
-        // emulator code; quiescent ticks fold into one counter update at
-        // the next IFU-touching instruction or frame exit.
-        let mut ifu_quiet = self.ifu.is_quiescent(&self.mem);
-        let mut ifu_pending: u64 = 0;
-        // Device-clock hoisting: `span` cycles may still run before any
-        // line can move; `io_pending` cycles have run but not yet been
-        // settled into the device clock.  Settled at span boundaries and
-        // at every frame exit.
-        let mut span: u64 = 0;
-        let mut io_pending: u64 = 0;
-        // Advances the device clock for one frame cycle: inside a stable
-        // span the tick is deferred; at a boundary the pending ticks are
-        // settled, a new span is opened, and — if the very next tick may
-        // move a line — the clock runs for real.  Returns whether that
-        // real tick raised a wakeup (impossible inside a span).
-        #[inline]
-        fn io_cycle(io: &mut IoSystem, span: &mut u64, pending: &mut u64) -> bool {
-            if *span > 0 {
-                *span -= 1;
-                *pending += 1;
-                return false;
-            }
-            io.tick_span(*pending);
-            *pending = 0;
-            *span = io.stable_span();
-            if *span > 0 {
-                *span -= 1;
-                *pending = 1;
-                false
-            } else {
-                io.tick();
-                !io.wakeups().is_empty()
-            }
-        }
-        'frame: while let Some(mut si) = compiled.step_at(pc) {
-            loop {
-                let step = &compiled.steps[si];
-                debug_assert_eq!(step.addr, pc, "step table / NEXTPC disagreement");
-                if watch_bp
-                    && (used > 0 || !skip_bp_first)
-                    && self.breakpoints.contains(&pc)
-                {
-                    break 'frame;
-                }
-                if step.deopt {
-                    break 'frame;
-                }
-                if step.may_hold {
-                    // Stall in-frame: each held cycle is the interpreter's
-                    // "no operation, jump to self" with the elided phases
-                    // still provably no-ops.  (`check_hold` consults only
-                    // the memory system and the IFU, so probing it before
-                    // this cycle's device tick is equivalent.)
-                    while let Some(cause) = self.check_hold(&step.inst, task) {
-                        woke = io_cycle(&mut self.io, &mut span, &mut io_pending);
-                        self.drain_wb();
-                        self.stats.held[task.index()] += 1;
-                        self.stats.held_by[task.index()][cause.index()] += 1;
-                        self.consecutive_holds += 1;
-                        if TRACED {
-                            if let Some(tracer) = self.tracer.as_mut() {
-                                tracer.record(TraceEvent {
-                                    cycle: cycle_base + used,
-                                    task,
-                                    addr: pc,
-                                    held: Some(cause),
-                                    next_task: task,
-                                    cache: CacheOutcome::None,
-                                    bypass: false,
-                                });
-                            }
-                        }
-                        used += 1;
-                        last_addr = pc;
-                        if ifu_quiet {
-                            ifu_pending += 1;
-                        } else {
-                            self.ifu.tick(&mut self.mem);
-                            ifu_quiet = self.ifu.is_quiescent(&self.mem);
-                        }
-                        self.mem.tick();
-                        if woke
-                            || used >= budget
-                            || self.consecutive_holds > self.wedge_limit
-                        {
-                            break 'frame;
-                        }
-                    }
-                }
-                // Phase 1 of the executing cycle: the device clock is
-                // deferred inside a stable span, runs for real at a span
-                // boundary.  A wakeup the boundary tick raises ends the
-                // frame *after* this cycle — the interpreter's NEXT
-                // decision for this cycle was made from the previous
-                // latch and still runs task 0.
-                woke = io_cycle(&mut self.io, &mut span, &mut io_pending);
-                if step.touches_ifu && ifu_pending > 0 {
-                    // Fold the batched quiescent ticks at the occupancy
-                    // they ran under, before this instruction mutates the
-                    // buffer.
-                    self.ifu.tick_quiescent_n(ifu_pending);
-                    ifu_pending = 0;
-                }
-                let probe = if TRACED {
-                    let c = &self.mem.counters().cache;
-                    (
-                        c.processor.refs + c.fast_io.refs,
-                        c.processor.hits + c.fast_io.hits,
-                    )
-                } else {
-                    (0, 0)
-                };
-                let next_pc = match step.kernel {
-                    compiled::Kernel::Alu { next } => {
-                        self.exec_alu_step(&step.inst, task);
-                        next
-                    }
-                    compiled::Kernel::General => {
-                        let (next_pc, halt) = self.execute(&step.inst, task, pc);
-                        debug_assert!(!halt, "Halt deoptimizes before execution");
-                        next_pc
-                    }
-                };
-                executed += 1;
-                self.consecutive_holds = 0;
-                if TRACED {
-                    if let Some(tracer) = self.tracer.as_mut() {
-                        let c = &self.mem.counters().cache;
-                        let (refs_after, hits_after) = (
-                            c.processor.refs + c.fast_io.refs,
-                            c.processor.hits + c.fast_io.hits,
-                        );
-                        let cache = if refs_after == probe.0 {
-                            CacheOutcome::None
-                        } else if hits_after > probe.1 {
-                            CacheOutcome::Hit
-                        } else {
-                            CacheOutcome::Miss
-                        };
-                        let bypass = self.bypass
-                            && (step.inst.load.loads_t() || step.inst.load.loads_rm());
-                        tracer.record(TraceEvent {
-                            cycle: cycle_base + used,
-                            task,
-                            addr: pc,
-                            held: None,
-                            next_task: task,
-                            cache,
-                            bypass,
-                        });
-                    }
-                }
-                used += 1;
-                last_addr = pc;
-                let is_last = step.last;
-                let touched_ifu = step.touches_ifu;
-                pc = next_pc;
-                if touched_ifu || !ifu_quiet {
-                    self.ifu.tick(&mut self.mem);
-                    ifu_quiet = self.ifu.is_quiescent(&self.mem);
-                } else {
-                    ifu_pending += 1;
-                }
-                self.mem.tick();
-                if woke || used >= budget {
-                    break 'frame;
-                }
-                if is_last {
-                    break;
-                }
-                si += 1;
-            }
-        }
-        self.io.tick_span(io_pending);
-        if used > 0 {
-            if ifu_pending > 0 {
-                self.ifu.tick_quiescent_n(ifu_pending);
-            }
-            self.stats.cycles += used;
-            self.stats.executed[task.index()] += executed;
-            // Reconstruct the elided per-cycle bookkeeping at its final
-            // value: the arbitration latch holds (0, addr of the last
-            // processed instruction), and task 0's TPC — written every
-            // phase 3 — holds the next address.
-            self.control.stage1 = Stage1 {
-                task,
-                pc: last_addr,
-            };
-            self.control.tpc[task.index()] = pc;
-            self.control.this_pc = pc;
-            if woke {
-                // The last cycle's tick raised a wakeup: materialize that
-                // cycle's arbitration, which the frame elided.  READY is
-                // still empty (nothing in-frame touches it), so requests
-                // are exactly task 0 plus the asserted wakeups.
-                let mut requests = self.io.wakeups();
-                requests.insert(task);
-                self.control.arbitrate(requests);
-            }
-            self.fused_frames += 1;
-            self.fused_cycles += used;
-        }
-        self.compiled = Some(compiled);
-        used
-    }
-
-    /// Compiled-mode coverage telemetry: `(frames entered, cycles retired
-    /// inside fused frames)` since construction.  Both zero under the
-    /// interpreter.
-    pub fn fused_coverage(&self) -> (u64, u64) {
-        (self.fused_frames, self.fused_cycles)
-    }
-
-    /// Builds the superinstruction table if it is missing or was
-    /// invalidated (control-store write, snapshot restore).
-    fn ensure_compiled(&mut self) {
-        if self.compiled.is_none() {
-            self.compiled = Some(Box::new(compiled::compile(&self.placed, &self.decoded)));
-        }
-    }
-
-    /// The execution mode in force.
-    pub fn exec_mode(&self) -> ExecMode {
-        self.exec_mode
-    }
-
-    /// Switches between interpreted and compiled execution.  Safe at any
-    /// point — the modes are bit-identical — and dropping back to
-    /// [`ExecMode::Interpreted`] releases the block table.
-    pub fn set_exec_mode(&mut self, mode: ExecMode) {
-        self.exec_mode = mode;
-        if mode == ExecMode::Interpreted {
-            self.compiled = None;
-        }
-    }
-
-    /// Basic-block lengths (in microinstructions) of the compiled
-    /// translation of the current control store — the E20 block census.
-    /// Builds the table on demand.
-    pub fn compiled_block_lengths(&mut self) -> Vec<u32> {
-        self.ensure_compiled();
-        self.compiled
-            .as_ref()
-            .expect("just ensured")
-            .block_lens()
-            .to_vec()
     }
 
     /// Sets a microstore breakpoint: [`Dorado::run`] stops *before* the
@@ -1107,48 +680,6 @@ impl Dorado {
                 WbWrite::Stack(i, v) => self.dp.stack[i] = v,
             }
         }
-    }
-
-    /// The fused runner's straight-line body for [`compiled::Kernel::Alu`]
-    /// steps: operand reads, ALU, writeback, flags — with the FF,
-    /// memory-start, and NEXTPC dispatches proven absent at translation
-    /// time.  Must stay observably identical to [`Dorado::execute`] on the
-    /// shapes the classifier admits (no FF effect, no memory or IFU
-    /// contact, no stack op, static successor).
-    #[inline]
-    fn exec_alu_step(&mut self, inst: &DecodedInst, task: TaskId) -> Word {
-        let a = if inst.asel.reads_rm() {
-            self.dp.rm[self.dp.rm_address(task, inst.raddr)]
-        } else {
-            self.dp.t[task.index()]
-        };
-        let b = match inst.bsel {
-            BSel::Rm => self.dp.rm[self.dp.rm_address(task, inst.raddr)],
-            BSel::T => self.dp.t[task.index()],
-            BSel::Q => self.dp.q,
-            _ => inst.bconst,
-        };
-        self.drain_wb();
-        let f = self.dp.alufm[inst.aluop.index()];
-        let saved_carry = self.dp.flags[task.index()].carry;
-        let alu = alu_eval(f, a, b, saved_carry);
-        let mut writes = WbQueue::default();
-        if inst.load.loads_t() {
-            writes.push(WbWrite::T(task, alu.result));
-        }
-        if inst.load.loads_rm() {
-            writes.push(WbWrite::Rm(
-                self.dp.rm_address(task, inst.raddr),
-                alu.result,
-            ));
-        }
-        self.pending_wb = writes;
-        if self.bypass {
-            self.drain_wb();
-        }
-        self.dp.flags[task.index()] =
-            CondFlags::from_result(alu.result, alu.carry, alu.overflow);
-        alu.result
     }
 
     fn execute(&mut self, inst: &DecodedInst, task: TaskId, at: MicroAddr) -> (MicroAddr, bool) {
@@ -1582,12 +1113,8 @@ impl Dorado {
         let d = DecodedInst::decode(word)?;
         self.store[addr.raw() as usize] = word;
         self.decoded[addr.raw() as usize] = d;
-        // Every derived decode product dies with the store word: the
-        // superinstruction table is rebuilt from the patched image before
-        // the next fused frame, and the I/O decode hint is dropped so no
-        // fast path survives a control-store write with stale state.
-        self.placed.set_word(addr, word);
-        self.compiled = None;
+        // The I/O decode hint is dropped so no fast path survives a
+        // control-store write with stale state.
         self.io.reset_decode_cache();
         Ok(())
     }
@@ -1668,10 +1195,7 @@ impl Snapshot for Dorado {
 
     fn restore(&mut self, r: &mut Reader<'_>) -> Result<(), SnapError> {
         r.tag(b"DRDO")?;
-        // Invalidate every cached decode product before new state lands:
-        // the block table is rebuilt lazily against the (unchanged) store,
-        // and `IoSystem::restore` drops its own decode hint.
-        self.compiled = None;
+        // `IoSystem::restore` drops its own decode hint.
         self.dp.restore(r)?;
         self.control.restore(r)?;
         self.mem.restore(r)?;

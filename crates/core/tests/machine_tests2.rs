@@ -4,7 +4,7 @@
 
 use dorado_asm::{ASel, Assembler, AluFunction, AluOp, BSel, FfOp, Inst};
 use dorado_base::{MicroAddr, TaskId};
-use dorado_core::{Console, Dorado, DoradoBuilder, ExecMode, RunOutcome};
+use dorado_core::{Console, Dorado, DoradoBuilder, RunOutcome};
 
 const T0: TaskId = TaskId::EMULATOR;
 
@@ -133,53 +133,39 @@ fn breakpoints_stop_before_execution() {
 }
 
 #[test]
-fn breakpoint_inside_a_fused_block_deoptimizes_at_the_exact_instruction() {
-    // Compiled mode fuses the straight-line increment chain into one
-    // superinstruction block; a console breakpoint planted mid-block must
-    // still stop *before* the flagged microinstruction, with every earlier
-    // step's effects committed — exactly like the interpreter — and the
-    // console must report the same stopped state.
-    let build_chain = || {
-        let mut a = Assembler::new();
-        for _ in 0..4 {
-            a.emit(nop().a(ASel::T).alu(AluOp::INC_A).load_t());
-        }
-        a.label("bp");
-        for _ in 0..4 {
-            a.emit(nop().a(ASel::T).alu(AluOp::INC_A).load_t());
-        }
-        a.label("fin");
-        a.emit(nop().ff_halt().goto_("fin"));
-        let placed = a.place().unwrap();
-        let bp = placed.address_of("bp").unwrap();
-        let mut m = DoradoBuilder::new().microcode(placed).build().unwrap();
-        m.add_breakpoint(bp);
-        (m, bp)
-    };
-    let (mut interp, bp) = build_chain();
-    let (mut compiled, _) = build_chain();
-    compiled.set_exec_mode(ExecMode::Compiled);
-
-    for m in [&mut interp, &mut compiled] {
-        let out = m.run(100);
-        assert_eq!(out, RunOutcome::Breakpoint { at: bp, task: T0 });
-        assert_eq!(m.t(T0), 4, "the four pre-breakpoint increments ran");
+fn resuming_runs_over_a_breakpoint_that_is_still_set() {
+    // A breakpoint planted mid-chain stops the run *before* the flagged
+    // microinstruction, with every earlier step's effects committed.
+    // Resuming with the breakpoint still set executes the flagged word on
+    // the run's first cycle (the probe skips it) and completes; a fresh
+    // machine without the breakpoint takes exactly as many cycles.
+    let mut a = Assembler::new();
+    for _ in 0..4 {
+        a.emit(nop().a(ASel::T).alu(AluOp::INC_A).load_t());
     }
-    assert_eq!(interp.cycles(), compiled.cycles(), "stopped on the same cycle");
-    assert_eq!(
-        Console::new(&interp).where_am_i(),
-        Console::new(&compiled).where_am_i(),
-        "console agrees on the stopped location"
-    );
-
-    // Resuming steps over the breakpointed instruction (it is skipped on
-    // the first cycle of a run), then completes in both modes.
-    for m in [&mut interp, &mut compiled] {
-        assert!(m.run(100).halted());
-        assert_eq!(m.t(T0), 8);
+    a.label("bp");
+    for _ in 0..4 {
+        a.emit(nop().a(ASel::T).alu(AluOp::INC_A).load_t());
     }
-    assert_eq!(interp.cycles(), compiled.cycles());
-    assert_eq!(interp.stats(), compiled.stats());
+    a.label("fin");
+    a.emit(nop().ff_halt().goto_("fin"));
+    let placed = a.place().unwrap();
+    let bp = placed.address_of("bp").unwrap();
+    let mut m = DoradoBuilder::new().microcode(placed.clone()).build().unwrap();
+    m.add_breakpoint(bp);
+
+    let out = m.run(100);
+    assert_eq!(out, RunOutcome::Breakpoint { at: bp, task: T0 });
+    assert_eq!(m.t(T0), 4, "the four pre-breakpoint increments ran");
+    assert_eq!(m.cycles(), 4, "stopped on the breakpoint's cycle");
+    assert_eq!(m.control().this_pc, bp, "the flagged word is next");
+
+    assert!(m.run(100).halted(), "resumed over the set breakpoint");
+    assert_eq!(m.t(T0), 8);
+    let mut plain = DoradoBuilder::new().microcode(placed).build().unwrap();
+    assert!(plain.run(100).halted());
+    assert_eq!(m.cycles(), plain.cycles());
+    assert_eq!(m.stats(), plain.stats());
 }
 
 #[test]

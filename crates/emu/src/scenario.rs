@@ -314,13 +314,6 @@ pub fn run_scenario(kind: ScenarioKind, always_tick: bool) -> ScenarioReport {
     drive(kind, always_tick, &mut |_, _| {})
 }
 
-/// [`run_scenario`] with an explicit execution mode: the interactive
-/// corpus doubles as the compiled-simulation oracle, so every scenario
-/// must be drivable interpreted *and* compiled.
-pub fn run_scenario_mode(kind: ScenarioKind, always_tick: bool, mode: ExecMode) -> ScenarioReport {
-    drive_mode(kind, always_tick, mode, &mut |_, _| {})
-}
-
 /// Runs `kind` with a checkpoint hook (see [`StepHook`]).
 ///
 /// # Panics
@@ -328,27 +321,13 @@ pub fn run_scenario_mode(kind: ScenarioKind, always_tick: bool, mode: ExecMode) 
 /// Panics if the scenario wedges (a field or input service never
 /// arrives) — deterministic scripts either complete or are broken.
 pub fn drive(kind: ScenarioKind, always_tick: bool, hook: &mut StepHook<'_>) -> ScenarioReport {
-    drive_mode(kind, always_tick, ExecMode::default(), hook)
+    drive_machine(kind, build_machine(kind), always_tick, hook)
 }
 
-/// [`drive`] with an explicit execution mode.
-///
-/// # Panics
-///
-/// Panics if the scenario wedges (a field or input service never
-/// arrives) — deterministic scripts either complete or are broken.
-pub fn drive_mode(
-    kind: ScenarioKind,
-    always_tick: bool,
-    mode: ExecMode,
-    hook: &mut StepHook<'_>,
-) -> ScenarioReport {
-    let m = build_machine(kind);
-    drive_machine(kind, m, always_tick, mode, hook)
-}
-
-/// [`drive_mode`] on a caller-supplied suite (which must contain the
-/// scenario and BitBlt modules).
+/// [`drive`] on a caller-supplied suite (which must contain the
+/// scenario and BitBlt modules).  `_mode` is unused: the interpreter is
+/// the only execution core, and the parameter stays because the
+/// repository benchmark package calls this signature.
 ///
 /// # Panics
 ///
@@ -358,21 +337,19 @@ pub fn drive_mode_on(
     kind: ScenarioKind,
     suite: &crate::Suite,
     always_tick: bool,
-    mode: ExecMode,
+    _mode: ExecMode,
     hook: &mut StepHook<'_>,
 ) -> ScenarioReport {
     let m = build_machine_on(kind, suite);
-    drive_machine(kind, m, always_tick, mode, hook)
+    drive_machine(kind, m, always_tick, hook)
 }
 
 fn drive_machine(
     kind: ScenarioKind,
     mut m: Dorado,
     always_tick: bool,
-    mode: ExecMode,
     hook: &mut StepHook<'_>,
 ) -> ScenarioReport {
-    m.set_exec_mode(mode);
     m.io_mut().set_always_tick(always_tick);
     let mut step = 0u32;
     let mut checkpoint = |m: &mut Dorado, step: &mut u32| {

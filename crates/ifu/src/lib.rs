@@ -237,17 +237,6 @@ impl Ifu {
         self.discard = 1;
     }
 
-    /// Whether this tick has no prefetch work beyond occupancy accounting:
-    /// the buffer is saturated (no room for a fetched word, so none will
-    /// be issued), no fetch is in flight (so none can arrive), and there
-    /// is no stale fetch to discard.  The quiescence invariant behind the
-    /// [`Ifu::tick`] fast path.
-    pub fn is_quiescent(&self, mem: &MemorySystem) -> bool {
-        self.discard == 0
-            && !mem.ifu_fetch_outstanding()
-            && self.buffer.len() + 2 > self.buffer_cap
-    }
-
     /// Advances the prefetch engine one microcycle.  Call once per machine
     /// cycle, before the processor's instruction executes.
     pub fn tick(&mut self, mem: &mut MemorySystem) {
@@ -295,24 +284,6 @@ impl Ifu {
             let word_addr = self.code_base.0 + self.fetch_byte / 2;
             let _ = mem.ifu_start_fetch(VirtAddr::new(word_addr));
         }
-    }
-
-    /// Folds `n` consecutive quiescent ticks into the occupancy counters
-    /// in one call.  Only valid while [`Ifu::is_quiescent`] holds: each
-    /// such [`Ifu::tick`] provably takes the saturated early-out, which
-    /// touches nothing but the three counters updated here, so the fold
-    /// is bit-identical to `n` individual ticks.  The compiled execution
-    /// core uses this to hoist the prefetcher clock out of fused
-    /// basic-block runs.
-    #[inline]
-    pub fn tick_quiescent_n(&mut self, n: u64) {
-        debug_assert!(
-            self.discard == 0 && self.buffer.len() + 2 > self.buffer_cap,
-            "tick_quiescent_n on a non-quiescent IFU"
-        );
-        self.counters.ticks += n;
-        self.counters.buffer_bytes_accum += self.buffer.len() as u64 * n;
-        self.counters.buffer_full_cycles += n;
     }
 
     /// Whether a dispatch would succeed, and with which entry (does not

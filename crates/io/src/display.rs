@@ -316,57 +316,6 @@ impl Device for DisplayController {
         }
     }
 
-    fn stable_span(&self, _now: u64) -> u64 {
-        // A stopped display's tick is a no-op; a retracing one is blanking
-        // (quiescent until the microcode's acknowledge, an external
-        // access).  Either way the lines are frozen indefinitely.
-        if !self.active || self.retrace {
-            return u64::MAX;
-        }
-        // Scanning: every paint event past the blanking allowance drains
-        // one FIFO word (or underruns) and advances the raster one word.
-        // The lines can only move when
-        //   (a) the drain frees a whole unpromised munch of FIFO space —
-        //       the wakeup line rises — or
-        //   (b) the beam reaches the field boundary — retrace raises both
-        //       attention and wakeup.
-        // Count paint events until the earlier of the two, then convert to
-        // cycles with the pacer's closed form.  If space is already free
-        // the wakeup is up and pure draining cannot take it down again, so
-        // (a) never fires from a tick.
-        let backlog = self.fifo.len() + self.committed;
-        let space_at = (self.fifo_depth_munches - 2) * MUNCH_WORDS;
-        let pops_until_space = if backlog > space_at {
-            let need = backlog - space_at;
-            if need <= self.fifo.len() {
-                need as u64
-            } else {
-                // The promised slots alone exceed the threshold: draining
-                // the whole FIFO cannot free space, only an external
-                // munch delivery changes the picture.
-                u64::MAX
-            }
-        } else {
-            u64::MAX
-        };
-        let until_boundary = match &self.fb {
-            Some(fb) => (fb.field_words() - fb.cursor()) as u64,
-            None => u64::MAX,
-        };
-        let events = pops_until_space
-            .min(until_boundary)
-            .saturating_add(self.blank);
-        if events == u64::MAX {
-            return u64::MAX;
-        }
-        match self.pacer.cycles_until_events(events) {
-            // The tick on which the line-moving event fires is unsafe;
-            // everything strictly before it is fair game.
-            Some(k) => k - 1,
-            None => u64::MAX,
-        }
-    }
-
     fn snapshot_save(&self, w: &mut Writer, pending: u64) {
         self.save_projected(w, pending);
     }

@@ -98,39 +98,6 @@ pub trait Device: std::fmt::Debug + std::any::Any + Send {
         let _ = cycles;
     }
 
-    /// How many upcoming [`Device::tick`] calls provably cannot change the
-    /// device's *lines* — the wakeup and attention outputs — assuming no
-    /// external access (slow/fast I/O, NEXT broadcast, host poke) arrives
-    /// in between.  Unlike [`Device::next_due`] the ticks inside the span
-    /// may do arbitrary internal work (drain a FIFO, paint a raster); the
-    /// promise is only that nothing the *processor* can observe without an
-    /// external access moves before the span ends.
-    ///
-    /// The compiled execution core uses this to run a fused stretch of
-    /// microinstructions with zero device calls and then settle the whole
-    /// stretch with one [`Device::tick_span`].  The default is derived
-    /// from [`Device::next_due`]: a device quiescent until its due cycle
-    /// has frozen lines exactly that long, and a device that is due *now*
-    /// promises nothing.  Must only be called on a device whose skipped
-    /// cycles have been folded in (see [`Device::skip`]).
-    fn stable_span(&self, now: u64) -> u64 {
-        match self.next_due(now) {
-            None => u64::MAX,
-            Some(d) => d.saturating_sub(now),
-        }
-    }
-
-    /// Performs the work of `n` consecutive [`Device::tick`] calls in one
-    /// call.  The default literally loops; devices override it only if
-    /// they can batch the work more cheaply.  Callers must not let `n`
-    /// overrun a span promised by [`Device::stable_span`] without
-    /// re-checking the lines in between.
-    fn tick_span(&mut self, n: u64) {
-        for _ in 0..n {
-            self.tick();
-        }
-    }
-
     /// Slow I/O input: the device drives IODATA (processor `Input`).
     /// `reg` is the device-relative register number from IOADDRESS.
     fn input(&mut self, reg: Word) -> Word;
@@ -419,106 +386,6 @@ impl IoSystem {
         self.always_tick
     }
 
-    /// Whether the most recent NEXT broadcast named `task` — i.e. another
-    /// [`IoSystem::observe_next`] with the same task would be a no-op.
-    pub fn next_was(&self, task: TaskId) -> bool {
-        self.last_next == Some(task)
-    }
-
-    /// How many upcoming [`IoSystem::tick`] calls are guaranteed to be
-    /// complete no-ops beyond advancing the clock: the distance from `now`
-    /// to the event horizon.  Zero in always-tick mode, where every tick
-    /// does real work.  The compiled execution core uses this to hoist the
-    /// per-cycle device clock out of a fused basic-block run and replay it
-    /// with one [`IoSystem::advance_quiet`].
-    pub fn quiet_horizon(&self) -> u64 {
-        if self.always_tick {
-            return 0;
-        }
-        self.min_due.saturating_sub(self.now)
-    }
-
-    /// Advances the interconnect clock over `cycles` ticks that
-    /// [`IoSystem::quiet_horizon`] promised are no-ops.  Bit-identical to
-    /// calling [`IoSystem::tick`] `cycles` times while inside the horizon:
-    /// each such tick only increments `now` and returns at the fast path.
-    pub fn advance_quiet(&mut self, cycles: u64) {
-        debug_assert!(
-            !self.always_tick && self.now + cycles <= self.min_due,
-            "advance_quiet({cycles}) past the event horizon"
-        );
-        self.now += cycles;
-    }
-
-    /// How many upcoming [`IoSystem::tick`] calls provably cannot change
-    /// any device's wakeup or attention line, assuming no external access
-    /// intervenes.  This is strictly stronger than
-    /// [`IoSystem::quiet_horizon`]: a device may need real per-cycle work
-    /// inside the span (a display draining its FIFO at the dot rate) as
-    /// long as its *lines* hold still.  The compiled core runs that many
-    /// fused cycles without touching the device clock and then settles
-    /// them with one [`IoSystem::tick_span`].  Zero in always-tick mode.
-    pub fn stable_span(&mut self) -> u64 {
-        if self.always_tick {
-            return 0;
-        }
-        let now = self.now;
-        let mut span = u64::MAX;
-        for a in &mut self.devices {
-            let s = if a.due > now {
-                // Quiescent until due; at the due cycle its lines may move.
-                a.due - now
-            } else {
-                // Due now: fold any skipped cycles so the device's span
-                // arithmetic sees its true phase, then ask it directly.
-                if a.synced_at < now {
-                    a.device.skip(now - a.synced_at);
-                    a.synced_at = now;
-                }
-                a.device.stable_span(now)
-            };
-            span = span.min(s);
-        }
-        span
-    }
-
-    /// Advances the interconnect clock `n` cycles in one call, giving each
-    /// device that falls due inside the window its ticks en bloc.
-    /// Bit-identical to `n` calls of [`IoSystem::tick`] *provided* the
-    /// wakeup and attention lines cannot change inside the window — i.e.
-    /// `n` must not overrun a span promised by [`IoSystem::stable_span`]
-    /// plus one boundary re-check.  (A device's early ticks equal
-    /// [`Device::skip`] by the `next_due` contract, so handing it the
-    /// whole window as consecutive ticks matches the naive reference.)
-    pub fn tick_span(&mut self, n: u64) {
-        if n == 0 {
-            return;
-        }
-        debug_assert!(!self.always_tick, "tick_span in always-tick mode");
-        let end = self.now + n;
-        if end <= self.min_due {
-            // Every device stays quiescent through the window: the whole
-            // call is the fast path of `n` ticks.
-            self.now = end;
-            return;
-        }
-        for a in &mut self.devices {
-            if a.due >= end {
-                continue;
-            }
-            // Quiescent prefix folds via skip; the rest are real ticks.
-            if a.due > a.synced_at {
-                a.device.skip(a.due - a.synced_at);
-            }
-            a.device.tick_span(end - a.due);
-            a.synced_at = end;
-            a.due = Self::due_of(a.device.as_ref(), end);
-            a.wake = a.device.wakeup();
-        }
-        self.now = end;
-        self.rebuild_summary();
-    }
-
     /// Forgets the one-entry IOADDRESS decode hint.  The hint is only a
     /// cache (every decode still range-checks), but fast paths built on
     /// top of the decoder invalidate it defensively whenever machine state
@@ -731,23 +598,6 @@ impl RatePacer {
             return Some(1);
         }
         Some(gap.div_ceil(self.num))
-    }
-
-    /// How many further [`RatePacer::step`] calls until the `n`-th event
-    /// fires, counting that call itself, or `None` for a zero-rate pacer.
-    /// `n = 0` answers 0.  Closed form of calling
-    /// [`RatePacer::cycles_until_event`] and stepping `n` times over.
-    pub fn cycles_until_events(&self, n: u64) -> Option<u64> {
-        if n == 0 {
-            return Some(0);
-        }
-        if self.num == 0 {
-            return None;
-        }
-        // The k-th step leaves the running total at acc + k·num; the n-th
-        // event has fired once that total reaches n·den.
-        let need = u128::from(n) * u128::from(self.den) - u128::from(self.acc);
-        Some(need.div_ceil(u128::from(self.num)) as u64)
     }
 
     /// The pacer as it would stand after `cycles` individual

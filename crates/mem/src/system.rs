@@ -195,16 +195,6 @@ impl MemorySystem {
         self.now += 1;
     }
 
-    /// Whether nothing is in flight: the storage pipeline is idle, no task
-    /// has an outstanding fetch, and the IFU port is empty.  A quiescent
-    /// memory system's [`MemorySystem::tick`] only advances the clock, and
-    /// `memdata`/cache/map state is frozen until the next reference.
-    pub fn is_quiescent(&self) -> bool {
-        self.now >= self.storage_free_at
-            && self.ifu_pending.is_none()
-            && self.pending.iter().all(|p| p.front().is_none())
-    }
-
     /// The current cycle number.
     pub fn now(&self) -> u64 {
         self.now

@@ -1,10 +1,7 @@
 //! The control-flow graph over a placed microprogram.
 //!
-//! The CFG started life here, but the compiled-simulation core in
-//! `dorado-core` needs the same basic-block discovery, and `dorado-ulint`
-//! already depends on `dorado-core` — so the graph itself now lives in
-//! [`dorado_asm::cfg`], the layer both crates share.  This module
-//! re-exports it so every existing `ulint` pass and downstream user keeps
-//! compiling unchanged.
+//! The graph itself lives in [`dorado_asm::cfg`], next to the placed
+//! program it is built from.  This module re-exports it so every `ulint`
+//! pass and downstream user reaches it through the analyzer crate.
 
 pub use dorado_asm::cfg::{successors, Cfg, Node};

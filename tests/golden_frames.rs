@@ -20,7 +20,6 @@ use std::fmt::Write as _;
 use std::path::PathBuf;
 
 use dorado::base::snap::{restore_image, save_image};
-use dorado::core::ExecMode;
 use dorado::emu::scenario::{self, build_machine, run_scenario, ScenarioKind};
 use dorado::io::DisplayController;
 
@@ -108,23 +107,6 @@ fn editor_storm_matches_golden_frames() {
 #[test]
 fn blit_anim_matches_golden_frames() {
     check_golden(ScenarioKind::BlitAnim);
-}
-
-/// The compiled core must render the exact same frame stream as the
-/// interpreter on every corpus scenario — golden frames double as a
-/// mode-equivalence oracle.
-#[test]
-fn compiled_mode_matches_golden_frames() {
-    for kind in ScenarioKind::ALL {
-        let interp = run_scenario(kind, false);
-        let compiled = scenario::run_scenario_mode(kind, false, ExecMode::Compiled);
-        assert_eq!(
-            interp.frame_hashes, compiled.frame_hashes,
-            "{}: compiled mode drifted from the interpreted frame stream",
-            interp.name
-        );
-        assert_eq!(interp.cycles, compiled.cycles, "{}", interp.name);
-    }
 }
 
 /// A snapshot taken mid-scenario and restored onto a freshly built

@@ -6,7 +6,7 @@
 
 use dorado::asm::{ASel, AluOp, Assembler, BSel, Inst};
 use dorado::base::{HoldCause, MicroAddr, Requester, TaskId, VirtAddr};
-use dorado::core::{CacheOutcome, DoradoBuilder, Dorado, ExecMode, TraceEvent};
+use dorado::core::{CacheOutcome, DoradoBuilder, Dorado, TraceEvent};
 
 /// fetch RM[1] → consume MEMDATA into T → T+1 into RM[2] → halt.
 fn build(trace: bool) -> Dorado {
@@ -60,18 +60,6 @@ fn golden() -> Vec<TraceEvent> {
 #[test]
 fn trace_matches_the_golden_sequence_verbatim() {
     let mut m = build(true);
-    let out = m.run(1000);
-    assert!(out.halted(), "{out:?}");
-    assert_eq!(m.take_trace(), golden());
-}
-
-#[test]
-fn compiled_trace_matches_the_golden_sequence_verbatim() {
-    // The compiled core's fused frames must synthesize the *same* event
-    // stream the interpreter emits — held cycles, cache outcomes, bypass
-    // bits, and all — even though the cycle loop they come from is gone.
-    let mut m = build(true);
-    m.set_exec_mode(ExecMode::Compiled);
     let out = m.run(1000);
     assert!(out.halted(), "{out:?}");
     assert_eq!(m.take_trace(), golden());

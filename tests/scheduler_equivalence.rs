@@ -12,7 +12,6 @@
 use dorado::base::check::{check, Rng};
 use dorado::base::snap::save_image;
 use dorado::base::{TaskId, Word};
-use dorado::core::ExecMode;
 use dorado::emu::mesa;
 use dorado::io::synth::SynthPath;
 use dorado::io::{DiskController, DisplayController, IoSystem, NetworkController, RateDevice};
@@ -176,36 +175,18 @@ fn quantum_boundaries_do_not_shift_due_cycles() {
     // cluster, right where another machine's traffic lands.  A prime-sized
     // quantum never divides any device period, so every boundary falls
     // inside some device's skip window; the due bookkeeping must carry
-    // across the boundary without re-firing or losing events.  The
-    // compiled core rides along: its fused frames are budgeted by the
-    // same quantum and must cut mid-block with identical cycle counts
-    // and statistics.
+    // across the boundary without re-firing or losing events.
     let mut sched = workstation_machine();
     let mut naive = workstation_machine();
-    let mut compiled = workstation_machine();
     naive.io_mut().set_always_tick(true);
-    compiled.set_exec_mode(ExecMode::Compiled);
     loop {
         let a = sched.run_quantum(997);
         let b = naive.run_quantum(997);
-        let c = compiled.run_quantum(997);
         assert_eq!(a, b, "quantum progress at cycle {}", naive.cycles());
-        assert_eq!(
-            a,
-            c,
-            "compiled quantum progress at cycle {}",
-            naive.cycles()
-        );
         assert_eq!(
             save_image(&sched),
             save_image(&naive),
             "image at quantum boundary, cycle {}",
-            naive.cycles()
-        );
-        assert_eq!(
-            save_image(&sched),
-            save_image(&compiled),
-            "compiled image at quantum boundary, cycle {}",
             naive.cycles()
         );
         if a == 0 {
@@ -213,9 +194,7 @@ fn quantum_boundaries_do_not_shift_due_cycles() {
         }
     }
     assert_eq!(mesa::tos(&sched), mesa::tos(&naive));
-    assert_eq!(mesa::tos(&sched), mesa::tos(&compiled));
     assert_eq!(sched.stats(), naive.stats());
-    assert_eq!(sched.stats(), compiled.stats());
 }
 
 #[test]

@@ -9,7 +9,7 @@ use dorado::asm::{ASel, AluOp, Assembler, BSel, Inst};
 use dorado::base::check::{check, Rng};
 use dorado::base::snap::{restore_image, save_image};
 use dorado::base::{BaseRegId, TaskId, VirtAddr, Word};
-use dorado::core::{ControlSection, DataSection, Dorado, DoradoBuilder, ExecMode};
+use dorado::core::{ControlSection, DataSection, Dorado, DoradoBuilder};
 use dorado::emu::layout::{
     BR_DISK, BR_DISPLAY, BR_NET, IOA_DISK, IOA_DISPLAY, IOA_NET, TASK_DISK, TASK_DISPLAY,
     TASK_EMU, TASK_NET,
@@ -138,44 +138,36 @@ fn machine_snapshot_resume_is_deterministic() {
 /// Restoring a snapshot onto a machine whose microcode has changed since
 /// the image was taken must execute the *current* store, not any decode
 /// product cached when the image was saved — the one-entry IOADDRESS
-/// decode hint, the decoded `bconst` bytes, and the compiled-mode
-/// superinstruction table all die on restore and on control-store writes.
+/// decode hint and the decoded `bconst` bytes both die on restore and on
+/// control-store writes.
 #[test]
 fn snapshot_restore_over_rewritten_microcode_executes_the_new_store() {
-    for mode in [ExecMode::Interpreted, ExecMode::Compiled] {
-        let build = || {
-            let mut a = Assembler::new();
-            a.label("go");
-            a.emit(Inst::new().const16(0x11).alu(AluOp::B).load_t());
-            a.label("fin");
-            a.emit(Inst::new().ff_halt().goto_("fin"));
-            DoradoBuilder::new()
-                .microcode(a.place().unwrap())
-                .build()
-                .unwrap()
-        };
-        let mut m = build();
-        m.set_exec_mode(mode);
-        let boot = save_image(&m);
-        // First run populates every decode product for the old store —
-        // including the compiled block table in compiled mode.
-        assert!(m.run(10).halted());
-        assert_eq!(m.t(TaskId::EMULATOR), 0x11, "{mode:?}");
-        // Rewrite the constant in place (§6.2.3 writeable microstore),
-        // then rewind to boot.  Configuration — the patched store — stays
-        // with the live machine; only dynamic state rewinds.
-        let go = m.label("go").unwrap();
-        let patched = m.read_microstore(go).with_ff(0x42);
-        m.write_microstore(go, patched).unwrap();
-        restore_image(&mut m, &boot).expect("boot image restores");
-        assert!(m.run(10).halted());
-        assert_eq!(
-            m.t(TaskId::EMULATOR),
-            0x42,
-            "{mode:?}: stale decode state survived restore over a \
-             rewritten control store"
-        );
-    }
+    let mut a = Assembler::new();
+    a.label("go");
+    a.emit(Inst::new().const16(0x11).alu(AluOp::B).load_t());
+    a.label("fin");
+    a.emit(Inst::new().ff_halt().goto_("fin"));
+    let mut m = DoradoBuilder::new()
+        .microcode(a.place().unwrap())
+        .build()
+        .unwrap();
+    let boot = save_image(&m);
+    // First run populates every decode product for the old store.
+    assert!(m.run(10).halted());
+    assert_eq!(m.t(TaskId::EMULATOR), 0x11);
+    // Rewrite the constant in place (§6.2.3 writeable microstore), then
+    // rewind to boot.  Configuration — the patched store — stays with the
+    // live machine; only dynamic state rewinds.
+    let go = m.label("go").unwrap();
+    let patched = m.read_microstore(go).with_ff(0x42);
+    m.write_microstore(go, patched).unwrap();
+    restore_image(&mut m, &boot).expect("boot image restores");
+    assert!(m.run(10).halted());
+    assert_eq!(
+        m.t(TaskId::EMULATOR),
+        0x42,
+        "stale decode state survived restore over a rewritten control store"
+    );
 }
 
 // --- the workstation checkpoint guarantee -------------------------------
