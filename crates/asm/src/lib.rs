@@ -66,6 +66,6 @@ pub use ff::FfOp;
 pub use flow::{ControlOp, Flow};
 pub use inst::{FfSlot, Inst};
 pub use microword::Microword;
-pub use placer::{PlacedProgram, PlacementHints, PlacementStats, SlotUse};
+pub use placer::{PlacedProgram, PlacementStats, SlotUse};
 pub use program::{Assembler, Item, MicroProgram};
 pub use shifter::{shifter_output, MaskMode, ShiftCtl};

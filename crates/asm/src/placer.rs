@@ -185,18 +185,6 @@ impl PlacedProgram {
     }
 }
 
-/// Advisory placement preferences an optimizer can feed into
-/// [`place_with_hints`].  Hints never change program semantics — they only
-/// bias where the packer puts things.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct PlacementHints {
-    /// Labels to place at even addresses (as if the source carried a
-    /// `pair_align` directive), so branches targeting them can reuse the
-    /// even/odd pair ("case A") instead of burning relay words.  Unknown
-    /// labels are ignored.
-    pub pair_align: Vec<String>,
-}
-
 /// Internal repair requests discovered during encoding.
 enum Repair {
     /// Force instruction `index` to start a fresh page.
@@ -363,26 +351,7 @@ fn compact(listing: &Listing<'_>, layout: &mut Layout) {
 /// Returns an [`AsmError`] for undefined/duplicate labels, store overflow,
 /// misaligned dispatch tables, or unsatisfiable FF sharing.
 pub fn place(program: &MicroProgram) -> Result<PlacedProgram, AsmError> {
-    place_with_hints(program, &PlacementHints::default())
-}
-
-/// [`place`] with advisory [`PlacementHints`]: hinted labels acquire a
-/// pair-align constraint before layout, biasing branch pairs onto even/odd
-/// addresses so later branches can reuse them.
-///
-/// # Errors
-///
-/// Same failure modes as [`place`].
-pub fn place_with_hints(
-    program: &MicroProgram,
-    hints: &PlacementHints,
-) -> Result<PlacedProgram, AsmError> {
-    let mut listing = preprocess(program)?;
-    for label in &hints.pair_align {
-        if let Some(&i) = listing.label_index.get(label.as_str()) {
-            listing.pair_align[i] = true;
-        }
-    }
+    let listing = preprocess(program)?;
     let mut breaks: HashSet<usize> = HashSet::new();
     let mut relays: HashMap<usize, Vec<String>> = HashMap::new();
     // Each repair round adds a break or a relay keyed by instruction, so

@@ -5,7 +5,7 @@
 //! whole value is in two deterministic numbers: *simulated cycles* per
 //! opcode-class microbenchmark (hold-shadow scheduling and branch-slot
 //! filling shorten hot paths) and *wasted microstore slots* per suite
-//! (relay words reclaimed, dead arms deleted).  Each opcode class runs
+//! (relay words reclaimed by slot filling).  Each opcode class runs
 //! the identical macroprogram on the plain and the optimized image of
 //! the same suite; both runs halt, and the architectural end state is
 //! asserted equal before any number is reported.

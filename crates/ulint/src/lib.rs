@@ -51,12 +51,11 @@ pub mod session;
 
 use std::time::Duration;
 
-use dorado_asm::PlacedProgram;
+use dorado_asm::{PlacedProgram, SlotUse};
 use dorado_base::MicroAddr;
 
 pub use cfg::Cfg;
 pub use diag::{Diagnostic, Severity};
-pub use passes::dead_code::{cnt_dead_arms, CntArm, CntArmFact};
 pub use passes::hold::{fetch_started, hold_sites, HoldSites};
 pub use passes::stack_depth::stack_sites;
 pub use passes::wasted_slot::{wasted_slots, WasteKind, WastedSlot};
@@ -82,7 +81,9 @@ pub struct LintConfig {
 
 impl LintConfig {
     /// Classifies every label in `placed` by the [`IO_PREFIXES`]
-    /// convention.
+    /// convention.  An occupied, unlabelled word 0 is an emulator root
+    /// named `<word 0>`: tasks power up with TPC = 0, so the boot word is
+    /// an entry even when nothing labels it.
     pub fn infer(placed: &PlacedProgram) -> Self {
         let mut config = LintConfig::default();
         for (label, addr) in placed.labels() {
@@ -92,6 +93,12 @@ impl LintConfig {
                 &mut config.emu_roots
             };
             dest.push((label.to_string(), addr));
+        }
+        let boot = MicroAddr::new(0);
+        if matches!(placed.uses().first(), Some(SlotUse::Inst(_)))
+            && !placed.labels().any(|(_, addr)| addr == boot)
+        {
+            config.emu_roots.push(("<word 0>".to_string(), boot));
         }
         config.emu_roots.sort();
         config.io_roots.sort();
@@ -131,8 +138,8 @@ impl LintReport {
 }
 
 /// The analyzer's computed facts over one placed image, packaged as a
-/// reusable query API: the CFG, per-task reachability, hold sites, dead
-/// CNT branch arms, and the wasted-slot census.  This is what a
+/// reusable query API: the CFG, per-task reachability, hold sites,
+/// fetch-started inputs, and the wasted-slot census.  This is what a
 /// *transformation* layer (`dorado-uopt`) consumes as its dependence and
 /// safety oracle; the diagnostic pipeline ([`lint`]) is a thin rendering
 /// of the same facts.
@@ -152,16 +159,14 @@ pub struct Analyses {
     /// (dense, by raw address): `true` iff some root-to-word path
     /// starts a fetch before the word executes.
     pub fetch_started: Vec<bool>,
-    /// CNT=0 branches with a proven-dead arm.
-    pub cnt_arms: Vec<CntArmFact>,
     /// The wasted-slot census (relays, hold-shadow no-ops).
     pub wasted: Vec<WastedSlot>,
 }
 
 impl Analyses {
     /// A [`PassCtx`] over these facts, for running individual passes or
-    /// the fact queries (`cnt_dead_arms`, `wasted_slots`) without
-    /// recomputing the CFG and reachability.
+    /// the [`wasted_slots`] query without recomputing the CFG and
+    /// reachability.
     pub fn ctx<'a>(&'a self, placed: &'a PlacedProgram) -> PassCtx<'a> {
         PassCtx {
             placed,
@@ -223,10 +228,8 @@ pub fn analyze(placed: &PlacedProgram) -> Analyses {
 pub fn analyze_with_config(placed: &PlacedProgram, config: LintConfig) -> Analyses {
     let cfg = Cfg::build(placed);
     let facts = RootFacts::compute(&cfg, &config);
-    let (hold, cnt_arms, wasted) = {
-        let ctx = facts.ctx(placed, &cfg, &config, Severity::Info);
-        (hold_sites(ctx.cfg), cnt_dead_arms(&ctx), wasted_slots(&ctx))
-    };
+    let hold = hold_sites(&cfg);
+    let wasted = wasted_slots(&facts.ctx(placed, &cfg, &config, Severity::Info));
     let RootFacts {
         emu_reach,
         io_reach,
@@ -239,7 +242,6 @@ pub fn analyze_with_config(placed: &PlacedProgram, config: LintConfig) -> Analys
         io_reach,
         hold,
         fetch_started,
-        cnt_arms,
         wasted,
     }
 }

@@ -66,8 +66,7 @@ impl Domain for CountInterval {
 }
 
 /// Which arm of a CNT=0 conditional branch can never be taken.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CntArm {
+enum CntArm {
     /// COUNT is provably 0 at the branch: the CNT≠0 (false) arm is dead,
     /// the branch always goes to its true target.
     AlwaysZero,
@@ -79,21 +78,19 @@ pub enum CntArm {
 /// One proven-dead branch arm: the branch address, which arm is dead,
 /// and the COUNT interval that proves it (tested *after* the word's own
 /// FF executes, per §6.3.3).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CntArmFact {
+struct CntArmFact {
     /// Address of the CNT=0 conditional branch.
-    pub at: dorado_base::MicroAddr,
+    at: dorado_base::MicroAddr,
     /// Which arm is dead.
-    pub arm: CntArm,
+    arm: CntArm,
     /// The post-FF COUNT interval at the branch.
-    pub interval: (u16, u16),
+    interval: (u16, u16),
 }
 
-/// Computes the dead CNT branch arms over `ctx` — the query behind both
-/// the diagnostic pass and the optimizer's dead-arm elimination.  The
-/// interval analysis is gated off wherever COUNT is shared across task
-/// classes (the task-safety pass reports that situation itself).
-pub fn cnt_dead_arms(ctx: &PassCtx<'_>) -> Vec<CntArmFact> {
+/// Computes the dead CNT branch arms over `ctx`.  The interval analysis
+/// is gated off wherever COUNT is shared across task classes (the
+/// task-safety pass reports that situation itself).
+fn cnt_dead_arms(ctx: &PassCtx<'_>) -> Vec<CntArmFact> {
     let mut out = Vec::new();
     let emu_writes = ctx
         .cfg

@@ -9,7 +9,8 @@
 //! what the analyzer is anchored to.
 
 use dorado_asm::{ASel, Assembler, BSel, Cond, FfOp, Inst, PlacedProgram};
-use dorado_ulint::{lint, Severity};
+use dorado_base::MicroAddr;
+use dorado_ulint::{lint, LintConfig, Severity};
 
 /// Lints `placed` and renders every finding at or above `min`, in
 /// report order, separated by blank lines.
@@ -196,6 +197,46 @@ fn dead_code_never_taken_count_arm() {
          \x20 --> 000.01: RM[0] aluop0 RM[0], if CNT=0 \u{2192} pair 1\n\
          \x20  = note: the branch condition tests COUNT after this word's FF executes",
     );
+}
+
+/// dead-code: a CNT=0 branch directly after CNT<-2 — COUNT is never 0
+/// there, so the CNT=0 arm can never be taken.
+#[test]
+fn dead_code_never_taken_count_zero_arm() {
+    let mut a = Assembler::new();
+    a.label("boot");
+    a.emit(Inst::new().ff(FfOp::LoadCountImm(2)));
+    a.emit(Inst::new().branch(Cond::CntZero, "done", "boot"));
+    a.label("done");
+    a.emit(Inst::new().ff_halt().goto_("done"));
+    let placed = a.place().unwrap();
+    let out = rendered(&placed, Severity::Warning);
+    assert_golden(
+        &out,
+        "warning[dead-code]: the CNT=0 arm of this branch is never taken: COUNT is always in [2, 2] here\n\
+         \x20 --> 000.01: RM[0] aluop0 RM[0], if CNT=0 \u{2192} pair 1\n\
+         \x20  = note: the branch condition tests COUNT after this word's FF executes",
+    );
+}
+
+/// dead-code: tasks power up with TPC = 0, so an occupied word 0 with
+/// no label is still an emulator entry, and nothing it reaches is dead.
+#[test]
+fn unlabelled_word_zero_is_an_emulator_root() {
+    let mut a = Assembler::new();
+    a.emit(Inst::new().const16(1).load_t());
+    a.emit(Inst::new().goto_("idle"));
+    a.label("idle");
+    a.emit(Inst::new().ff_halt().goto_("idle"));
+    let placed = a.place().unwrap();
+    let config = LintConfig::infer(&placed);
+    assert!(
+        config
+            .emu_roots
+            .contains(&("<word 0>".to_string(), MicroAddr::new(0))),
+        "{config:?}"
+    );
+    assert_golden(&rendered(&placed, Severity::Warning), "");
 }
 
 /// bytecode: operand-stack underflow in a compiled `dorado-lang`

@@ -7,8 +7,8 @@
 //! uopt --verbose             # show per-address rewrite notes
 //! ```
 //!
-//! For each suite the driver emits the symbolic listing, runs the full
-//! pass pipeline, and relies on the pipeline's hard invariant: the
+//! For each suite the driver emits the symbolic listing, runs both
+//! passes (Hold-shadow scheduling, then branch-slot filling), and relies on the pipeline's hard invariant: the
 //! optimized placement must re-verify and must not lint worse than the
 //! unoptimized baseline.  Any violation (or a placement failure) exits
 //! nonzero, which is what the ci `uopt` step gates on.
@@ -16,7 +16,7 @@
 use std::process::ExitCode;
 
 use dorado_emu::SuiteBuilder;
-use dorado_uopt::{optimize_with, OptConfig};
+use dorado_uopt::optimize;
 
 /// The optimizable suites, in reporting order (mirrors `ulint`).
 const SUITES: &[&str] = &[
@@ -54,19 +54,13 @@ fn main() -> ExitCode {
     let mut suites: Vec<String> = Vec::new();
     let mut verbose = false;
     let mut json = false;
-    let mut config = OptConfig::default();
     for arg in std::env::args().skip(1) {
         match arg.as_str() {
             "--verbose" | "-v" => verbose = true,
             "--json" => json = true,
-            "--no-dead-arms" => config.no_dead_arms = true,
-            "--no-schedule" => config.no_schedule = true,
-            "--no-hints" => config.no_hints = true,
-            "--no-slot-fill" => config.no_slot_fill = true,
             "--help" | "-h" => {
                 println!(
-                    "usage: uopt [--verbose] [--json] [--no-dead-arms] [--no-schedule] \
-                     [--no-hints] [--no-slot-fill] [SUITE...]\n\
+                    "usage: uopt [--verbose] [--json] [SUITE...]\n\
                      suites: {SUITES:?} (default: all)"
                 );
                 return ExitCode::SUCCESS;
@@ -90,7 +84,7 @@ fn main() -> ExitCode {
                 return ExitCode::FAILURE;
             }
         };
-        let opt = match optimize_with(&program, &config) {
+        let opt = match optimize(&program) {
             Ok(opt) => opt,
             Err(e) => {
                 eprintln!("{name}: optimization failed: {e}");

@@ -5,13 +5,11 @@
 //! consumes a symbolic [`MicroProgram`], uses `dorado-ulint`'s CFG and
 //! abstract-interpretation results ([`dorado_ulint::analyze`]) as its
 //! dependence and safety oracle, rewrites the listing, and re-places.
-//! Four transformations (DESIGN.md §7e):
+//! Two transformations (DESIGN.md §7e):
 //!
 //! | pass | reclaims |
 //! |------|----------|
-//! | [`deadarm`] | never-taken CNT branch arms and the words they strand |
 //! | [`sched`]   | stall cycles, by moving independent work into memory-start shadows |
-//! | [`hints`]   | relay words, by pair-aligning hot branch pairs before placement |
 //! | [`slotfill`] | branch-window relay cycles, by copying the target into the relay |
 //!
 //! Soundness is delegated, not argued per call site: every optimized
@@ -34,52 +32,24 @@
 //! assert_eq!(opt.report.rewrites(), 0);
 //! ```
 
-pub mod deadarm;
 pub mod deps;
-pub mod hints;
 pub mod sched;
 pub mod slotfill;
 
 use std::collections::BTreeMap;
 use std::fmt;
 
-use dorado_asm::placer::place_with_hints;
 use dorado_asm::verify::verify_ok;
-use dorado_asm::{
-    AsmError, FfOp, FfSlot, Inst, Item, MicroProgram, PlacedProgram, PlacementHints, SlotUse,
-};
+use dorado_asm::{AsmError, FfOp, FfSlot, Inst, Item, MicroProgram, PlacedProgram};
 use dorado_base::MicroAddr;
 use dorado_ulint::passes::wasted_slot::WasteKind;
-use dorado_ulint::{analyze_with_config, lint_with_config, Analyses, LintConfig, IO_PREFIXES};
+use dorado_ulint::{analyze, lint, Analyses};
 
-/// Which labels count as control-flow roots for reachability and
-/// dead-code deletion.
-#[derive(Debug, Clone, Default)]
-pub enum RootPolicy {
-    /// Every label is a root (the `ulint` convention): anything labelled
-    /// may be entered by a task, the IFU dispatch, or a saved TPC, so
-    /// only unlabelled stranded words are ever deleted.  This is the
-    /// safe default for full suites.
-    #[default]
-    AllLabels,
-    /// Only the named entry labels are roots; everything unreachable
-    /// from them is deletable.  For closed programs whose entries are
-    /// known exactly (tests, single-task kernels).
-    Entries(Vec<String>),
-}
-
-/// Optimizer configuration: which passes run and under which roots.
+/// Optimizer configuration.
 #[derive(Debug, Clone, Default)]
 pub struct OptConfig {
-    /// Root policy for reachability (deletion) and task classification.
-    pub roots: RootPolicy,
-    /// Resolve proven-dead CNT branch arms and delete stranded code.
-    pub no_dead_arms: bool,
-    /// Reorder within basic blocks to hide memory-start latency.
-    pub no_schedule: bool,
-    /// Feed branch-pair alignment hints back into the placer.
-    pub no_hints: bool,
-    /// Fill branch-window relay words with copies of their targets.
+    /// Skip filling branch-window relay words with copies of their
+    /// targets, leaving the scheduled placement as the result.
     pub no_slot_fill: bool,
 }
 
@@ -90,20 +60,12 @@ pub type Refusals = BTreeMap<&'static str, usize>;
 /// Machine-readable account of what the optimizer did to one program.
 #[derive(Debug, Clone, Default)]
 pub struct OptReport {
-    /// CNT branches rewritten to unconditional transfers.
-    pub dead_arms_resolved: usize,
-    /// Unreachable instructions deleted from the listing.
-    pub insts_deleted: usize,
     /// Basic-block runs examined by the scheduler.
     pub runs_considered: usize,
     /// Runs whose order changed.
     pub runs_scheduled: usize,
     /// Instructions that moved within their run.
     pub insts_moved: usize,
-    /// Pair-alignment hints offered to the placer.
-    pub hints_tried: usize,
-    /// Whether the hinted placement won and was kept.
-    pub hints_accepted: bool,
     /// Relay words replaced by copies of their targets.
     pub relays_filled: usize,
     /// Fill candidates that reached the lint comparison (a deterministic
@@ -130,11 +92,7 @@ impl OptReport {
     /// Total rewrites across all passes; zero means the optimized image
     /// is byte-identical to plain placement.
     pub fn rewrites(&self) -> usize {
-        self.dead_arms_resolved
-            + self.insts_deleted
-            + self.insts_moved
-            + self.relays_filled
-            + usize::from(self.hints_accepted)
+        self.insts_moved + self.relays_filled
     }
 
     /// Records a declined opportunity.
@@ -145,18 +103,6 @@ impl OptReport {
     /// Records a note against instruction index `i` of the final listing.
     pub(crate) fn sym_note(&mut self, i: usize, text: impl Into<String>) {
         self.sym_notes.push((i, text.into()));
-    }
-
-    /// Remaps symbolic notes across a deletion (`old2new[i]` is the new
-    /// index of old instruction `i`, `None` if deleted).
-    pub(crate) fn remap_sym_notes(&mut self, old2new: &[Option<usize>]) {
-        self.sym_notes.retain_mut(|(i, _)| match old2new.get(*i) {
-            Some(Some(j)) => {
-                *i = *j;
-                true
-            }
-            _ => false,
-        });
     }
 
     fn resolve_notes(&mut self, placed: &PlacedProgram) {
@@ -177,13 +123,9 @@ impl OptReport {
             }
             s.push_str(&format!("\"{k}\":{v}"));
         };
-        field("dead_arms_resolved", self.dead_arms_resolved.to_string());
-        field("insts_deleted", self.insts_deleted.to_string());
         field("runs_considered", self.runs_considered.to_string());
         field("runs_scheduled", self.runs_scheduled.to_string());
         field("insts_moved", self.insts_moved.to_string());
-        field("hints_tried", self.hints_tried.to_string());
-        field("hints_accepted", self.hints_accepted.to_string());
         field("relays_filled", self.relays_filled.to_string());
         field("fill_trials", self.fill_trials.to_string());
         field("words_before", self.words_before.to_string());
@@ -212,21 +154,13 @@ impl fmt::Display for OptReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(
             f,
-            "uopt: {} rewrites ({} dead arms, {} deleted, {} moved in {}/{} runs, \
-             {} relays filled of {} trials, hints {})",
+            "uopt: {} rewrites ({} moved in {}/{} runs, {} relays filled of {} trials)",
             self.rewrites(),
-            self.dead_arms_resolved,
-            self.insts_deleted,
             self.insts_moved,
             self.runs_scheduled,
             self.runs_considered,
             self.relays_filled,
             self.fill_trials,
-            if self.hints_accepted {
-                "accepted"
-            } else {
-                "declined"
-            },
         )?;
         writeln!(
             f,
@@ -337,42 +271,6 @@ impl From<AsmError> for OptError {
     }
 }
 
-/// Builds the lint root classification for `placed` under `policy` —
-/// the roots every analysis and lint of the optimizer runs under.
-pub fn root_config(placed: &PlacedProgram, policy: &RootPolicy) -> LintConfig {
-    let mut config = match policy {
-        RootPolicy::AllLabels => LintConfig::infer(placed),
-        RootPolicy::Entries(names) => {
-            let mut config = LintConfig::default();
-            for name in names {
-                let Some(addr) = placed.address_of(name) else {
-                    continue;
-                };
-                if IO_PREFIXES.iter().any(|p| name.starts_with(p)) {
-                    config.io_roots.push((name.clone(), addr));
-                } else {
-                    config.emu_roots.push((name.clone(), addr));
-                }
-            }
-            config.emu_roots.sort();
-            config.io_roots.sort();
-            config
-        }
-    };
-    // Tasks power up with TPC = 0, so an occupied microstore word 0 is
-    // an entry even when nothing labels it — standalone images rely on
-    // that convention.  Suites label word 0 (`trap`), so this is a
-    // no-op for them.
-    let boot = MicroAddr::new(0);
-    if matches!(placed.uses().first(), Some(SlotUse::Inst(_)))
-        && !config.emu_roots.iter().any(|(_, addr)| *addr == boot)
-    {
-        config.emu_roots.push(("<word 0>".to_string(), boot));
-        config.emu_roots.sort();
-    }
-    config
-}
-
 fn census(an: &Analyses) -> (usize, usize) {
     let relays = an
         .wasted
@@ -382,18 +280,10 @@ fn census(an: &Analyses) -> (usize, usize) {
     (relays, an.wasted.len() - relays)
 }
 
-fn program_of(items: Vec<Item>) -> MicroProgram {
-    items.into_iter().collect()
-}
-
-fn analyze_under(placed: &PlacedProgram, policy: &RootPolicy) -> Analyses {
-    analyze_with_config(placed, root_config(placed, policy))
-}
-
 /// Whether the program reprograms the ALUFM mapping anywhere: when it
 /// does, the static carry-chain test (`ALUOP` index against the default
 /// mapping) is unsound, so reordering and relay filling are disabled.
-pub(crate) fn remaps_alufm(items: &[Item]) -> bool {
+fn remaps_alufm(items: &[Item]) -> bool {
     items.iter().any(|item| {
         matches!(
             item,
@@ -405,8 +295,7 @@ pub(crate) fn remaps_alufm(items: &[Item]) -> bool {
     })
 }
 
-/// Optimizes `program` under the default configuration (all passes,
-/// every label a root).
+/// Optimizes `program` under the default configuration (both passes).
 ///
 /// # Errors
 ///
@@ -415,10 +304,9 @@ pub fn optimize(program: &MicroProgram) -> Result<Optimized, OptError> {
     optimize_with(program, &OptConfig::default())
 }
 
-/// Optimizes `program` under `config`: trial-places, analyzes with
-/// `ulint`, rewrites the listing (dead arms, deletion, scheduling),
-/// re-places with pair hints, fills branch-window relays, and enforces
-/// the lint invariant.
+/// Optimizes `program` under `config`: places and analyzes it with
+/// `ulint`, schedules the listing into Hold shadows, re-places, fills
+/// branch-window relays, and enforces the lint invariant.
 ///
 /// # Errors
 ///
@@ -427,8 +315,8 @@ pub fn optimize(program: &MicroProgram) -> Result<Optimized, OptError> {
 /// optimized image lints worse than the input.
 pub fn optimize_with(program: &MicroProgram, config: &OptConfig) -> Result<Optimized, OptError> {
     let baseline = program.place()?;
-    let baseline_lint = lint_with_config(&baseline, &root_config(&baseline, &config.roots));
-    let an0 = analyze_under(&baseline, &config.roots);
+    let baseline_lint = lint(&baseline);
+    let an0 = analyze(&baseline);
 
     let mut report = OptReport {
         words_before: baseline.stats().footprint(),
@@ -439,47 +327,26 @@ pub fn optimize_with(program: &MicroProgram, config: &OptConfig) -> Result<Optim
     let mut items: Vec<Item> = program.items().to_vec();
     let alufm_remapped = remaps_alufm(&items);
 
-    if !config.no_dead_arms {
-        deadarm::resolve(&mut items, &baseline, &an0, &mut report);
-        let placed = program_of(items.clone()).place()?;
-        let an = analyze_under(&placed, &config.roots);
-        deadarm::sweep(&mut items, &placed, &an, &mut report);
+    if alufm_remapped {
+        report.refuse("alufm-remapped: static carry test unsound");
+    } else {
+        sched::schedule(&mut items, &baseline, &an0, &mut report);
     }
 
-    if !config.no_schedule {
-        if alufm_remapped {
-            report.refuse("alufm-remapped: static carry test unsound");
-        } else {
-            let placed = program_of(items.clone()).place()?;
-            let an = analyze_under(&placed, &config.roots);
-            sched::schedule(&mut items, &placed, &an, &mut report);
-        }
-    }
-
-    let optimized = program_of(items);
+    let optimized: MicroProgram = items.into_iter().collect();
     let mut placed = optimized.place()?;
-
-    if !config.no_hints {
-        match hints::collect(&optimized) {
-            hints if hints.pair_align.is_empty() => {}
-            hints => {
-                report.hints_tried = hints.pair_align.len();
-                apply_hints(&optimized, &hints, &mut placed, &mut report);
-            }
-        }
-    }
 
     if !config.no_slot_fill {
         if alufm_remapped {
             report.refuse("alufm-remapped: static carry test unsound");
         } else {
-            let an = analyze_under(&placed, &config.roots);
+            let an = analyze(&placed);
             slotfill::fill(&mut placed, &optimized, &an, &mut report);
         }
     }
 
     verify_ok(&placed)?;
-    let final_lint = lint_with_config(&placed, &root_config(&placed, &config.roots));
+    let final_lint = lint(&placed);
     if final_lint.errors() > baseline_lint.errors()
         || final_lint.warnings() > baseline_lint.warnings()
     {
@@ -496,7 +363,7 @@ pub fn optimize_with(program: &MicroProgram, config: &OptConfig) -> Result<Optim
         });
     }
 
-    let an_final = analyze_under(&placed, &config.roots);
+    let an_final = analyze(&placed);
     report.words_after = placed.stats().footprint();
     report.wasted_after = census(&an_final);
     report.resolve_notes(&placed);
@@ -506,36 +373,4 @@ pub fn optimize_with(program: &MicroProgram, config: &OptConfig) -> Result<Optim
         placed,
         report,
     })
-}
-
-/// Tries the hinted placement; keeps it only when it is strictly better
-/// (lexicographically on footprint, then relay count).
-fn apply_hints(
-    program: &MicroProgram,
-    hints: &PlacementHints,
-    placed: &mut PlacedProgram,
-    report: &mut OptReport,
-) {
-    match place_with_hints(program, hints) {
-        Ok(cand) => {
-            let old = (placed.stats().footprint(), placed.stats().relays);
-            let new = (cand.stats().footprint(), cand.stats().relays);
-            if new < old {
-                *placed = cand;
-                report.hints_accepted = true;
-            } else {
-                report.refuse("pair hint did not shrink the placement");
-            }
-        }
-        Err(_) => report.refuse("hinted placement failed"),
-    }
-}
-
-/// Item position of each instruction index in `items`.
-pub(crate) fn inst_positions(items: &[Item]) -> Vec<usize> {
-    items
-        .iter()
-        .enumerate()
-        .filter_map(|(p, item)| matches!(item, Item::Inst(_)).then_some(p))
-        .collect()
 }

@@ -23,9 +23,9 @@ use dorado_asm::{MicroProgram, SlotUse};
 use dorado_base::check::{check, Rng};
 use dorado_base::{MicroAddr, MICROSTORE_SIZE};
 use dorado_emu::SuiteBuilder;
-use dorado_ulint::{analyze_with_config, lint_with_config, LintSession};
+use dorado_ulint::{analyze_with_config, lint_with_config, LintConfig, LintSession};
 use dorado_uopt::slotfill::{candidate, fill, listing};
-use dorado_uopt::{optimize_with, root_config, OptConfig, OptReport, RootPolicy};
+use dorado_uopt::{optimize_with, OptConfig, OptReport};
 
 /// The refusal reason the lint comparison records.
 const STRANDED: &str = "fill would strand the target from the paths that kept it lint-clean";
@@ -58,13 +58,10 @@ fn same_graph(a: &Cfg, b: &Cfg) -> Result<(), String> {
 fn differential(name: &str, program: &MicroProgram) -> (usize, usize) {
     // The optimizer's image just before slot filling, and what the
     // filler itself makes of it.
-    let unfilled = OptConfig {
-        no_slot_fill: true,
-        ..OptConfig::default()
-    };
+    let unfilled = OptConfig { no_slot_fill: true };
     let pre = optimize_with(program, &unfilled).unwrap_or_else(|e| panic!("{name}: {e}"));
     let mut placed = pre.placed;
-    let config = root_config(&placed, &RootPolicy::AllLabels);
+    let config = LintConfig::infer(&placed);
     let an = analyze_with_config(&placed, config.clone());
     let mut filled = placed.clone();
     let mut report = OptReport::default();

@@ -1,13 +1,13 @@
 //! Edge-case tests for the optimizer passes: byte-identity when there
-//! is nothing to do, dead-arm elimination through a dispatch table,
-//! task-switch refusals, and span preservation across rewrites.
+//! is nothing to do, task-switch refusals, the unlabelled boot word as
+//! a root, and span preservation across rewrites.
 
-use dorado_asm::{ASel, AluOp, Assembler, BSel, Cond, FfOp, Inst, Item, MicroProgram};
+use dorado_asm::{ASel, AluOp, Assembler, BSel, Inst, Item, MicroProgram};
 use dorado_base::MicroAddr;
-use dorado_uopt::{optimize, optimize_with, OptConfig, RootPolicy};
+use dorado_uopt::optimize;
 
 /// A program with no optimization opportunities: no memory traffic to
-/// schedule around, no relays, no branches, no provable CNT arms.
+/// schedule around, no relays, no branches.
 fn opportunity_free() -> MicroProgram {
     let mut a = Assembler::new();
     a.label("boot");
@@ -32,57 +32,6 @@ fn zero_rewrite_round_trip_is_byte_identical() {
         );
     }
     assert_eq!(baseline.words_used(), opt.placed.words_used());
-}
-
-#[test]
-fn dead_arm_elimination_deletes_the_dispatch_table() {
-    // COUNT←2 makes the CNT=0 branch provably not-taken; resolving it
-    // strands the dispatch word, its 8-arm table, and the body only the
-    // table reached.  `shared` is also called from live code, so it
-    // must survive the sweep.
-    let mut a = Assembler::new();
-    a.label("boot");
-    a.emit(Inst::new().ff(FfOp::LoadCountImm(2)));
-    a.emit(Inst::new().branch(Cond::CntZero, "disp", "live"));
-    a.label("disp");
-    a.emit(Inst::new().dispatch8("table"));
-    a.label("live");
-    a.emit(Inst::new().const16(7).load_t());
-    a.emit(Inst::new().call("shared"));
-    a.emit(Inst::new().goto_("boot"));
-    a.align8();
-    a.label("table");
-    for arm in 0..8 {
-        if arm == 3 {
-            a.emit(Inst::new().goto_("shared"));
-        } else {
-            a.emit(Inst::new().goto_("deadbody"));
-        }
-    }
-    a.label("deadbody");
-    a.emit(Inst::new().goto_("boot"));
-    a.label("shared");
-    a.emit(Inst::new().ret());
-
-    let config = OptConfig {
-        roots: RootPolicy::Entries(vec!["boot".into()]),
-        ..OptConfig::default()
-    };
-    let opt = optimize_with(&a.program(), &config).expect("optimizes");
-    assert_eq!(opt.report.dead_arms_resolved, 1, "{}", opt.report);
-    // disp + 8 table arms + deadbody = 10 words reclaimed.
-    assert_eq!(opt.report.insts_deleted, 10, "{}", opt.report);
-    assert!(
-        opt.report.words_after < opt.report.words_before,
-        "footprint must shrink: {}",
-        opt.report
-    );
-    // The one live arm's body survives (live code still calls it)...
-    assert!(opt.placed.address_of("shared").is_some());
-    // ...and the stranded labels are gone with their words.
-    assert!(opt.placed.address_of("table").is_none());
-    assert!(opt.placed.address_of("deadbody").is_none());
-    assert!(opt.placed.address_of("disp").is_none());
 }
 
 #[test]
@@ -161,4 +110,22 @@ fn rewritten_block_keeps_spans_and_annotates_the_listing() {
     assert!(listing.contains("; ^ src: independent work"), "{listing}");
     assert!(listing.contains("; ^ src: consume memdata"), "{listing}");
     assert!(listing.contains("uopt sched: moved here"), "{listing}");
+}
+
+#[test]
+fn unlabelled_boot_word_is_a_scheduling_root() {
+    // The scheduled run of the test above, emitted with no label on
+    // word 0: tasks power up with TPC = 0, so the run is still emulator
+    // code the scheduler may reorder.
+    let mut a = Assembler::new();
+    a.emit(Inst::new().a(ASel::FetchR).rm(0));
+    a.emit(Inst::new().b(BSel::MemData).alu(AluOp::B).load_t());
+    a.emit(Inst::new().a(ASel::Rm).rm(2).alu(AluOp::A).load_rm());
+    a.emit(Inst::new().goto_("idle"));
+    a.label("idle");
+    a.emit(Inst::new().goto_("idle"));
+
+    let opt = optimize(&a.program()).expect("optimizes");
+    assert_eq!(opt.report.runs_scheduled, 1, "{}", opt.report);
+    assert_eq!(opt.report.insts_moved, 2, "{}", opt.report);
 }
