@@ -19,7 +19,7 @@ use crate::error::AsmError;
 use crate::fields::BSel;
 use crate::flow::ControlOp;
 use crate::placer::{PlacedProgram, SlotUse};
-use dorado_base::{MicroAddr, PAGE_SIZE};
+use dorado_base::MicroAddr;
 
 /// A structural violation found in a placed image.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -46,123 +46,129 @@ fn used(placed: &PlacedProgram, addr: MicroAddr) -> bool {
 /// Checks every used word of `placed`; returns all violations found.
 pub fn verify(placed: &PlacedProgram) -> Vec<Violation> {
     let mut out = Vec::new();
-    for (i, slot) in placed.uses().iter().enumerate() {
-        if matches!(slot, SlotUse::Empty | SlotUse::Waste) {
-            continue;
-        }
-        let at = MicroAddr::new(i as u16);
-        let word = placed.word(at);
-        let control = match word.control() {
-            Ok(c) => c,
-            Err(e) => {
-                out.push(Violation {
-                    at,
-                    what: format!("undecodable NextControl: {e}"),
-                });
-                continue;
-            }
-        };
-        let ff_is_const = match word.bsel() {
-            Ok(b) => b.is_constant(),
-            Err(_) => false,
-        };
-        // FF sharing: a long transfer's page must not collide with a
-        // constant byte.
-        if control.uses_ff_page() && ff_is_const {
-            out.push(Violation {
-                at,
-                what: "FF used as both page and constant".into(),
-            });
-        }
-        // When FF carries neither a page nor a constant, it must decode as
-        // a function.
-        if !control.uses_ff_page() && !ff_is_const {
-            if let Err(e) = crate::ff::FfOp::decode(word.ff()) {
-                out.push(Violation {
-                    at,
-                    what: format!("undecodable FF function: {e}"),
-                });
-            }
-        }
-        match control {
-            ControlOp::Goto { offset } | ControlOp::Call { offset } => {
-                let dest = at.with_offset(offset.into());
-                if !used(placed, dest) {
-                    out.push(Violation {
-                        at,
-                        what: format!("in-page transfer to unused word {dest}"),
-                    });
-                }
-            }
-            ControlOp::GotoLong { offset } | ControlOp::CallLong { offset } => {
-                let dest = MicroAddr::from_parts(word.ff().into(), offset.into());
-                if !used(placed, dest) {
-                    out.push(Violation {
-                        at,
-                        what: format!("long transfer to unused word {dest}"),
-                    });
-                }
-            }
-            ControlOp::CondGoto { pair, .. } => {
-                let base = at.with_offset(u16::from(pair) * 2);
-                debug_assert_eq!(base.page(), at.page());
-                if !base.page_offset().is_multiple_of(2) {
-                    out.push(Violation {
-                        at,
-                        what: "branch pair base is odd".into(),
-                    });
-                }
-                for k in 0..2u16 {
-                    let d = MicroAddr::new(base.raw() + k);
-                    if !used(placed, d) {
-                        out.push(Violation {
-                            at,
-                            what: format!("branch pair word {d} unused"),
-                        });
-                    }
-                }
-            }
-            ControlOp::Dispatch8 { base_hi } => {
-                let base =
-                    MicroAddr::from_parts(word.ff().into(), if base_hi { 8 } else { 0 });
-                for k in 0..8u16 {
-                    let d = MicroAddr::new(base.raw() + k);
-                    if !used(placed, d) {
-                        out.push(Violation {
-                            at,
-                            what: format!("dispatch-8 entry {d} unused"),
-                        });
-                    }
-                }
-            }
-            ControlOp::Dispatch256 => {
-                let base = u16::from(word.ff() & 0xf) * 256;
-                for k in 0..256u16 {
-                    let d = MicroAddr::new(base + k);
-                    if !used(placed, d) {
-                        out.push(Violation {
-                            at,
-                            what: format!("dispatch-256 entry {d} unused"),
-                        });
-                        break; // one report per table is enough
-                    }
-                }
-            }
-            ControlOp::Return | ControlOp::IfuJump => {}
-        }
-        // Constants must reconstruct.
-        if ff_is_const {
-            let b = word.bsel().expect("checked");
-            if b != BSel::Rm && crate::constants::const_value(b, word.ff()).is_none() {
-                out.push(Violation {
-                    at,
-                    what: "constant BSelect without a constant value".into(),
-                });
-            }
-        }
-        let _ = PAGE_SIZE;
+    for i in 0..placed.uses().len() {
+        verify_word(placed, MicroAddr::new(i as u16), &mut out);
     }
     out
+}
+
+/// Checks the word at `at` alone, appending its violations to `out`
+/// (none for an unused word).  What it finds depends only on that word
+/// and on which words of `placed` are used, so a caller that patches
+/// one word in place can re-check just that word.
+pub fn verify_word(placed: &PlacedProgram, at: MicroAddr, out: &mut Vec<Violation>) {
+    if !used(placed, at) {
+        return;
+    }
+    let word = placed.word(at);
+    let control = match word.control() {
+        Ok(c) => c,
+        Err(e) => {
+            out.push(Violation {
+                at,
+                what: format!("undecodable NextControl: {e}"),
+            });
+            return;
+        }
+    };
+    let ff_is_const = match word.bsel() {
+        Ok(b) => b.is_constant(),
+        Err(_) => false,
+    };
+    // FF sharing: a long transfer's page must not collide with a
+    // constant byte.
+    if control.uses_ff_page() && ff_is_const {
+        out.push(Violation {
+            at,
+            what: "FF used as both page and constant".into(),
+        });
+    }
+    // When FF carries neither a page nor a constant, it must decode as
+    // a function.
+    if !control.uses_ff_page() && !ff_is_const {
+        if let Err(e) = crate::ff::FfOp::decode(word.ff()) {
+            out.push(Violation {
+                at,
+                what: format!("undecodable FF function: {e}"),
+            });
+        }
+    }
+    match control {
+        ControlOp::Goto { offset } | ControlOp::Call { offset } => {
+            let dest = at.with_offset(offset.into());
+            if !used(placed, dest) {
+                out.push(Violation {
+                    at,
+                    what: format!("in-page transfer to unused word {dest}"),
+                });
+            }
+        }
+        ControlOp::GotoLong { offset } | ControlOp::CallLong { offset } => {
+            let dest = MicroAddr::from_parts(word.ff().into(), offset.into());
+            if !used(placed, dest) {
+                out.push(Violation {
+                    at,
+                    what: format!("long transfer to unused word {dest}"),
+                });
+            }
+        }
+        ControlOp::CondGoto { pair, .. } => {
+            let base = at.with_offset(u16::from(pair) * 2);
+            debug_assert_eq!(base.page(), at.page());
+            if !base.page_offset().is_multiple_of(2) {
+                out.push(Violation {
+                    at,
+                    what: "branch pair base is odd".into(),
+                });
+            }
+            for k in 0..2u16 {
+                let d = MicroAddr::new(base.raw() + k);
+                if !used(placed, d) {
+                    out.push(Violation {
+                        at,
+                        what: format!("branch pair word {d} unused"),
+                    });
+                }
+            }
+        }
+        ControlOp::Dispatch8 { base_hi } => {
+            let base =
+                MicroAddr::from_parts(word.ff().into(), if base_hi { 8 } else { 0 });
+            for k in 0..8u16 {
+                let d = MicroAddr::new(base.raw() + k);
+                if !used(placed, d) {
+                    out.push(Violation {
+                        at,
+                        what: format!("dispatch-8 entry {d} unused"),
+                    });
+                }
+            }
+        }
+        ControlOp::Dispatch256 => {
+            let base = u16::from(word.ff() & 0xf) * 256;
+            for k in 0..256u16 {
+                let d = MicroAddr::new(base + k);
+                if !used(placed, d) {
+                    out.push(Violation {
+                        at,
+                        what: format!("dispatch-256 entry {d} unused"),
+                    });
+                    break; // one report per table is enough
+                }
+            }
+        }
+        ControlOp::Return | ControlOp::IfuJump => {}
+    }
+    // Constants must reconstruct.
+    if ff_is_const {
+        let b = word.bsel().expect("checked");
+        if b != BSel::Rm && crate::constants::const_value(b, word.ff()).is_none() {
+            out.push(Violation {
+                at,
+                what: "constant BSelect without a constant value".into(),
+            });
+        }
+    }
 }
 
 /// Convenience: verify and convert the violations into an error.

@@ -5,6 +5,13 @@
 //! transfer function over one microword.  The engine iterates to a
 //! fixpoint, applying the domain's widening once a node has been
 //! revisited enough times, so interval domains terminate on loops.
+//!
+//! Two entry points share the worklist rule:
+//!
+//! * `Fixpoint::solve` solves from scratch, reusing its buffers from
+//!   the previous solve (it clears only the words that solve reached);
+//! * `Region::resolve` re-solves a join-only domain over the words a
+//!   one-word patch can affect, keeping every other word's state.
 
 use dorado_base::{MicroAddr, MICROSTORE_SIZE};
 
@@ -32,14 +39,29 @@ pub trait Domain {
     }
 }
 
-/// Per-address input states after convergence, indexed by raw address.
-/// `None` means the word was not reached from the roots.
+/// Per-address input states after convergence, indexed by raw address,
+/// with the buffers the solver reuses.  `None` means the word was not
+/// reached from the roots.
+#[derive(Debug)]
 pub struct Fixpoint<V> {
     states: Vec<Option<V>>,
+    visits: Vec<u32>,
     reached: Vec<MicroAddr>,
+    work: Vec<MicroAddr>,
 }
 
-impl<V> Fixpoint<V> {
+impl<V: Clone + PartialEq> Default for Fixpoint<V> {
+    fn default() -> Self {
+        Fixpoint {
+            states: vec![None; MICROSTORE_SIZE],
+            visits: vec![0; MICROSTORE_SIZE],
+            reached: Vec::new(),
+            work: Vec::new(),
+        }
+    }
+}
+
+impl<V: Clone + PartialEq> Fixpoint<V> {
     /// The input state at `addr` (the value *before* the word executes).
     pub fn input(&self, addr: MicroAddr) -> Option<&V> {
         self.states[addr.raw() as usize].as_ref()
@@ -50,73 +72,234 @@ impl<V> Fixpoint<V> {
     pub(crate) fn reached(&self) -> &[MicroAddr] {
         &self.reached
     }
+
+    /// Runs `dom` to a fixpoint from `roots`, replacing the previous
+    /// solve.  `widen_after` bounds how many times a node is re-joined
+    /// precisely before widening kicks in.  Only the words the previous
+    /// solve reached are cleared, so a solver reused across calls
+    /// allocates nothing once its worklist has grown.
+    pub(crate) fn solve<D: Domain<Value = V>>(
+        &mut self,
+        cfg: &Cfg,
+        roots: &[MicroAddr],
+        dom: &D,
+        widen_after: usize,
+    ) {
+        for a in self.reached.drain(..) {
+            self.states[a.raw() as usize] = None;
+            self.visits[a.raw() as usize] = 0;
+        }
+        let Fixpoint {
+            states,
+            visits,
+            reached,
+            work,
+        } = self;
+        for &r in roots {
+            if cfg.node(r).is_none() {
+                continue;
+            }
+            let i = r.raw() as usize;
+            let entry = dom.entry();
+            match &states[i] {
+                Some(old) => {
+                    let joined = dom.join(old, &entry);
+                    if joined != *old {
+                        states[i] = Some(joined);
+                        work.push(r);
+                    }
+                }
+                None => {
+                    states[i] = Some(entry);
+                    reached.push(r);
+                    work.push(r);
+                }
+            }
+        }
+        while let Some(a) = work.pop() {
+            let node = cfg.node(a).expect("worklist holds live nodes");
+            let input = states[a.raw() as usize]
+                .as_ref()
+                .expect("worklist nodes have states");
+            let out = dom.transfer(node, input);
+            for &s in &node.succs {
+                let i = s.raw() as usize;
+                let updated = match &states[i] {
+                    None => {
+                        reached.push(s);
+                        Some(out.clone())
+                    }
+                    Some(old) => {
+                        let new = if visits[i] as usize > widen_after {
+                            dom.widen(old, &out)
+                        } else {
+                            dom.join(old, &out)
+                        };
+                        if new == *old {
+                            None
+                        } else {
+                            Some(new)
+                        }
+                    }
+                };
+                if let Some(v) = updated {
+                    states[i] = Some(v);
+                    visits[i] += 1;
+                    work.push(s);
+                }
+            }
+        }
+    }
 }
 
-/// Runs `dom` to a fixpoint from `roots`.  `widen_after` bounds how many
-/// times a node is re-joined precisely before widening kicks in.
+/// Runs `dom` to a fixpoint from `roots` in a fresh solver.
+/// `widen_after` bounds how many times a node is re-joined precisely
+/// before widening kicks in.
 pub fn fixpoint<D: Domain>(
     cfg: &Cfg,
     roots: &[MicroAddr],
     dom: &D,
     widen_after: usize,
 ) -> Fixpoint<D::Value> {
-    let mut states: Vec<Option<D::Value>> = (0..MICROSTORE_SIZE).map(|_| None).collect();
-    let mut visits = vec![0usize; MICROSTORE_SIZE];
-    let mut reached: Vec<MicroAddr> = Vec::new();
-    let mut work: Vec<MicroAddr> = Vec::new();
-    for &r in roots {
-        if cfg.node(r).is_none() {
-            continue;
+    let mut solver = Fixpoint::default();
+    solver.solve(cfg, roots, dom, widen_after);
+    solver
+}
+
+/// A forward-closed set of CFG words: everything reachable from a seed
+/// set, with the edges that enter it from outside.  After a patch to
+/// the edges out of one word, the region grown from that word and its
+/// old successors holds every word whose input state can have changed
+/// (a word outside it has no path from the patched word in either
+/// graph, so its ancestors and their equations are the same).
+#[derive(Debug)]
+pub(crate) struct Region {
+    words: Vec<MicroAddr>,
+    inside: Vec<bool>,
+    entries: Vec<(MicroAddr, MicroAddr)>,
+    work: Vec<MicroAddr>,
+}
+
+impl Default for Region {
+    fn default() -> Self {
+        Region {
+            words: Vec::new(),
+            inside: vec![false; MICROSTORE_SIZE],
+            entries: Vec::new(),
+            work: Vec::new(),
         }
-        let i = r.raw() as usize;
-        let entry = dom.entry();
-        match &states[i] {
-            Some(old) => {
-                let joined = dom.join(old, &entry);
-                if joined != *old {
-                    states[i] = Some(joined);
-                    work.push(r);
+    }
+}
+
+impl Region {
+    /// Makes the region the words of `cfg` reachable from `seeds`.
+    pub(crate) fn grow(&mut self, cfg: &Cfg, seeds: &[MicroAddr]) {
+        for a in self.words.drain(..) {
+            self.inside[a.raw() as usize] = false;
+        }
+        self.entries.clear();
+        for &s in seeds {
+            if cfg.node(s).is_some() && !self.inside[s.raw() as usize] {
+                self.inside[s.raw() as usize] = true;
+                self.words.push(s);
+            }
+        }
+        let mut next = 0;
+        while next < self.words.len() {
+            let node = cfg.node(self.words[next]).expect("region words are nodes");
+            next += 1;
+            for &s in &node.succs {
+                if !self.inside[s.raw() as usize] {
+                    self.inside[s.raw() as usize] = true;
+                    self.words.push(s);
                 }
             }
-            None => {
-                states[i] = Some(entry);
-                reached.push(r);
-                work.push(r);
+        }
+        for &w in &self.words {
+            let node = cfg.node(w).expect("region words are nodes");
+            for &p in &node.preds {
+                if !self.inside[p.raw() as usize] {
+                    self.entries.push((p, w));
+                }
             }
         }
     }
-    while let Some(a) = work.pop() {
-        let node = cfg.node(a).expect("worklist holds live nodes");
-        let input = states[a.raw() as usize]
-            .clone()
-            .expect("worklist nodes have states");
-        let out = dom.transfer(node, &input);
-        for &s in &node.succs {
-            let i = s.raw() as usize;
-            let updated = match &states[i] {
-                None => {
-                    reached.push(s);
-                    Some(out.clone())
-                }
-                Some(old) => {
-                    let new = if visits[i] > widen_after {
-                        dom.widen(old, &out)
-                    } else {
-                        dom.join(old, &out)
-                    };
-                    if new == *old {
-                        None
-                    } else {
-                        Some(new)
-                    }
-                }
+
+    /// The region's words, seeds first, then in breadth-first order.
+    pub(crate) fn words(&self) -> &[MicroAddr] {
+        &self.words
+    }
+
+    /// Whether `addr` is in the region.
+    pub(crate) fn contains(&self, addr: MicroAddr) -> bool {
+        self.inside[addr.raw() as usize]
+    }
+
+    /// The edges `(pred, word)` that enter the region from outside it.
+    pub(crate) fn entries(&self) -> &[(MicroAddr, MicroAddr)] {
+        &self.entries
+    }
+
+    /// Re-solves `dom` over the region in `states`: every region word is
+    /// reset (its old state handed to `log` first), then re-seeded from
+    /// the stored outputs of the predecessors outside the region and
+    /// from the `seeds` inside it, and iterated to a fixpoint.  States
+    /// outside the region are read, never written.
+    ///
+    /// Only for domains whose widening is their join (finite lattices):
+    /// their least fixpoint does not depend on visit order, so the
+    /// result equals a full [`Fixpoint::solve`] of the whole graph.
+    pub(crate) fn resolve<D: Domain>(
+        &mut self,
+        cfg: &Cfg,
+        dom: &D,
+        states: &mut [Option<D::Value>],
+        seeds: &[(MicroAddr, D::Value)],
+        mut log: impl FnMut(MicroAddr, Option<D::Value>),
+    ) {
+        for &a in &self.words {
+            log(a, states[a.raw() as usize].take());
+        }
+        for &(p, w) in &self.entries {
+            let Some(v) = &states[p.raw() as usize] else {
+                continue;
             };
-            if let Some(v) = updated {
-                states[i] = Some(v);
-                visits[i] += 1;
-                work.push(s);
+            let out = dom.transfer(cfg.node(p).expect("entry preds are nodes"), v);
+            join_into(dom, states, &mut self.work, w, out);
+        }
+        for (r, v) in seeds {
+            if self.inside[r.raw() as usize] {
+                join_into(dom, states, &mut self.work, *r, v.clone());
+            }
+        }
+        while let Some(a) = self.work.pop() {
+            let node = cfg.node(a).expect("worklist holds live nodes");
+            let input = states[a.raw() as usize]
+                .as_ref()
+                .expect("worklist nodes have states");
+            let out = dom.transfer(node, input);
+            for &s in &node.succs {
+                join_into(dom, states, &mut self.work, s, out.clone());
             }
         }
     }
-    Fixpoint { states, reached }
+}
+
+/// Joins `v` into the state at `at`, queueing `at` if the state grew.
+fn join_into<D: Domain>(
+    dom: &D,
+    states: &mut [Option<D::Value>],
+    work: &mut Vec<MicroAddr>,
+    at: MicroAddr,
+    v: D::Value,
+) {
+    let slot = &mut states[at.raw() as usize];
+    let new = match slot {
+        Some(old) => dom.join(old, &v),
+        None => v,
+    };
+    if slot.as_ref() != Some(&new) {
+        *slot = Some(new);
+        work.push(at);
+    }
 }

@@ -60,7 +60,7 @@ pub use passes::hold::{fetch_started, hold_sites, HoldSites};
 pub use passes::stack_depth::stack_sites;
 pub use passes::wasted_slot::{wasted_slots, WasteKind, WastedSlot};
 pub use passes::{all_passes, Pass, PassCtx};
-pub use session::LintSession;
+pub use session::{LintSession, SessionWork};
 
 /// Label prefixes that mark I/O-task microcode entries; all other
 /// labels are emulator-task code (the label conventions are set by the
@@ -175,7 +175,6 @@ impl Analyses {
             emu_reach: &self.emu_reach,
             io_reach: &self.io_reach,
             fetch_started: &self.fetch_started,
-            floor: Severity::Info,
         }
     }
 }
@@ -205,7 +204,6 @@ impl RootFacts {
         placed: &'a PlacedProgram,
         cfg: &'a Cfg,
         config: &'a LintConfig,
-        floor: Severity,
     ) -> PassCtx<'a> {
         PassCtx {
             placed,
@@ -214,7 +212,6 @@ impl RootFacts {
             emu_reach: &self.emu_reach,
             io_reach: &self.io_reach,
             fetch_started: &self.fetch_started,
-            floor,
         }
     }
 }
@@ -229,7 +226,7 @@ pub fn analyze_with_config(placed: &PlacedProgram, config: LintConfig) -> Analys
     let cfg = Cfg::build(placed);
     let facts = RootFacts::compute(&cfg, &config);
     let hold = hold_sites(&cfg);
-    let wasted = wasted_slots(&facts.ctx(placed, &cfg, &config, Severity::Info));
+    let wasted = wasted_slots(&facts.ctx(placed, &cfg, &config));
     let RootFacts {
         emu_reach,
         io_reach,
@@ -255,15 +252,9 @@ pub fn lint(placed: &PlacedProgram) -> LintReport {
 /// and the shared root facts once and renders every pass's findings
 /// over them.
 pub fn lint_with_config(placed: &PlacedProgram, config: &LintConfig) -> LintReport {
-    lint_cfg(placed, &Cfg::build(placed), config, Severity::Info)
-}
-
-/// Runs every pass over `cfg` (the CFG of `placed`), building findings
-/// at `floor` and above — the one pipeline behind both
-/// [`lint_with_config`] and the count-only [`LintSession`].
-fn lint_cfg(placed: &PlacedProgram, cfg: &Cfg, config: &LintConfig, floor: Severity) -> LintReport {
-    let facts = RootFacts::compute(cfg, config);
-    let ctx = facts.ctx(placed, cfg, config, floor);
+    let cfg = Cfg::build(placed);
+    let facts = RootFacts::compute(&cfg, config);
+    let ctx = facts.ctx(placed, &cfg, config);
     let mut report = LintReport::default();
     for pass in all_passes() {
         let start = std::time::Instant::now();

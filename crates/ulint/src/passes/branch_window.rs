@@ -19,6 +19,7 @@
 
 use dorado_asm::ControlOp;
 
+use crate::cfg::{Cfg, Node};
 use crate::diag::{Diagnostic, Severity};
 
 use super::{flag_branch, Pass, PassCtx};
@@ -27,7 +28,7 @@ use super::{flag_branch, Pass, PassCtx};
 /// (LINK ← THISPC+1) rather than the edge into the callee itself.  Flags
 /// at the callee entry come from the CALL word the programmer wrote;
 /// only the continuation sees the callee's RETURN flags.
-fn is_continuation(prev: &crate::cfg::Node, node: &crate::cfg::Node) -> bool {
+fn is_continuation(prev: &Node, node: &Node) -> bool {
     let continuation = dorado_base::MicroAddr::new(prev.addr.raw().wrapping_add(1));
     let callee = prev
         .word
@@ -40,52 +41,59 @@ fn is_continuation(prev: &crate::cfg::Node, node: &crate::cfg::Node) -> bool {
 /// The branch-window pass.
 pub struct BranchWindow;
 
+const NAME: &str = "branch-window";
+
 impl Pass for BranchWindow {
     fn name(&self) -> &'static str {
-        "branch-window"
+        NAME
     }
 
     fn run(&self, ctx: &PassCtx<'_>) -> Vec<Diagnostic> {
         let mut out = Vec::new();
         for node in ctx.cfg.iter() {
-            let Some(cond) = flag_branch(node.word) else {
-                continue;
-            };
-            for &p in &node.preds {
-                let Some(prev) = ctx.cfg.node(p) else { continue };
-                if prev.relay {
-                    out.push(
-                        Diagnostic::new(
-                            self.name(),
-                            Severity::Error,
-                            node.addr,
-                            format!(
-                                "branch on {cond} tests flags clobbered by a placer relay at {p}"
-                            ),
-                        )
-                        .note(
-                            "the relay word runs the ALU and commits fresh flags; \
-                             keep the flag-setting instruction and the branch on one page",
-                        ),
-                    );
-                } else if prev.word.control().is_ok_and(ControlOp::is_call)
-                    && is_continuation(prev, node)
-                {
-                    out.push(
-                        Diagnostic::new(
-                            self.name(),
-                            Severity::Warning,
-                            node.addr,
-                            format!(
-                                "branch on {cond} follows the call at {p}: the flags come from \
-                                 the callee's RETURN word, not the caller"
-                            ),
-                        )
-                        .note("intentional only if the subroutine's last instruction computes the condition"),
-                    );
-                }
-            }
+            findings(ctx.cfg, node, &mut out);
         }
         out
+    }
+}
+
+/// Appends the pass's findings at `node` to `out`: one per predecessor
+/// that clobbers the flags a latched-flag branch at `node` tests.  They
+/// depend only on `node`'s word and its predecessors' words.
+pub(crate) fn findings(cfg: &Cfg, node: &Node, out: &mut Vec<Diagnostic>) {
+    let Some(cond) = flag_branch(node.word) else {
+        return;
+    };
+    for &p in &node.preds {
+        let Some(prev) = cfg.node(p) else { continue };
+        if prev.relay {
+            out.push(
+                Diagnostic::new(
+                    NAME,
+                    Severity::Error,
+                    node.addr,
+                    format!("branch on {cond} tests flags clobbered by a placer relay at {p}"),
+                )
+                .note(
+                    "the relay word runs the ALU and commits fresh flags; \
+                     keep the flag-setting instruction and the branch on one page",
+                ),
+            );
+        } else if prev.word.control().is_ok_and(ControlOp::is_call) && is_continuation(prev, node) {
+            out.push(
+                Diagnostic::new(
+                    NAME,
+                    Severity::Warning,
+                    node.addr,
+                    format!(
+                        "branch on {cond} follows the call at {p}: the flags come from \
+                         the callee's RETURN word, not the caller"
+                    ),
+                )
+                .note(
+                    "intentional only if the subroutine's last instruction computes the condition",
+                ),
+            );
+        }
     }
 }

@@ -23,7 +23,7 @@ use crate::diag::{Diagnostic, Severity};
 use super::{ff_function, Pass, PassCtx};
 
 /// Whether `word` writes COUNT.
-fn writes_count(word: Microword) -> bool {
+pub(crate) fn writes_count(word: Microword) -> bool {
     matches!(
         ff_function(word),
         Some(FfOp::LoadCount | FfOp::LoadCountImm(_) | FfOp::DecCount)
@@ -31,7 +31,10 @@ fn writes_count(word: Microword) -> bool {
 }
 
 /// COUNT as an interval; `None` is ⊤ (unknown).
-struct CountInterval;
+pub(crate) struct CountInterval;
+
+/// Precise re-joins per node before [`CountInterval`] widens.
+pub(crate) const WIDEN_AFTER: usize = 4;
 
 impl Domain for CountInterval {
     type Value = Option<(u16, u16)>;
@@ -65,117 +68,90 @@ impl Domain for CountInterval {
     }
 }
 
-/// Which arm of a CNT=0 conditional branch can never be taken.
-enum CntArm {
-    /// COUNT is provably 0 at the branch: the CNT≠0 (false) arm is dead,
-    /// the branch always goes to its true target.
-    AlwaysZero,
-    /// COUNT is provably nonzero at the branch: the CNT=0 (true) arm is
-    /// dead, the branch always falls to its false target.
-    NeverZero,
-}
-
-/// One proven-dead branch arm: the branch address, which arm is dead,
-/// and the COUNT interval that proves it (tested *after* the word's own
-/// FF executes, per §6.3.3).
-struct CntArmFact {
-    /// Address of the CNT=0 conditional branch.
-    at: dorado_base::MicroAddr,
-    /// Which arm is dead.
-    arm: CntArm,
-    /// The post-FF COUNT interval at the branch.
-    interval: (u16, u16),
-}
-
-/// Computes the dead CNT branch arms over `ctx`.  The interval analysis
-/// is gated off wherever COUNT is shared across task classes (the
-/// task-safety pass reports that situation itself).
-fn cnt_dead_arms(ctx: &PassCtx<'_>) -> Vec<CntArmFact> {
-    let mut out = Vec::new();
-    let emu_writes = ctx
-        .cfg
-        .iter()
-        .any(|n| ctx.emu_reach[n.addr.raw() as usize] && writes_count(n.word));
-    let io_writes = ctx
-        .cfg
-        .iter()
-        .any(|n| ctx.io_reach[n.addr.raw() as usize] && writes_count(n.word));
-    let mut roots = ctx.emu_roots();
-    roots.extend(ctx.io_roots());
-    let counts = fixpoint(ctx.cfg, &roots, &CountInterval, 4);
-    for node in ctx.cfg.iter() {
-        let Ok(ControlOp::CondGoto {
+/// Whether `word` is a CNT=0 conditional branch.
+pub(crate) fn is_cnt_branch(word: Microword) -> bool {
+    matches!(
+        word.control(),
+        Ok(ControlOp::CondGoto {
             cond: Cond::CntZero,
             ..
-        }) = node.word.control()
-        else {
-            continue;
-        };
-        let i = node.addr.raw() as usize;
-        if (ctx.emu_reach[i] && io_writes) || (ctx.io_reach[i] && emu_writes) {
-            continue;
-        }
-        let Some(input) = counts.input(node.addr) else {
-            continue;
-        };
-        let Some((lo, hi)) = CountInterval.transfer(node, input) else {
-            continue;
-        };
-        if lo == 0 && hi == 0 {
-            out.push(CntArmFact {
-                at: node.addr,
-                arm: CntArm::AlwaysZero,
-                interval: (lo, hi),
-            });
-        } else if lo > 0 {
-            out.push(CntArmFact {
-                at: node.addr,
-                arm: CntArm::NeverZero,
-                interval: (lo, hi),
-            });
-        }
-    }
-    out
+        })
+    )
 }
+
+/// Whether the COUNT interval is unsound at a word the emulator
+/// (`emu`) or an I/O task (`io`) reaches, because another task class
+/// writes COUNT too (the task-safety pass reports that itself).
+pub(crate) fn count_shared(emu: bool, io: bool, emu_writes: bool, io_writes: bool) -> bool {
+    (emu && io_writes) || (io && emu_writes)
+}
+
+/// The unreachable-word warning at `node`, if no task `reached` it.
+pub(crate) fn unreachable(node: &Node, reached: bool) -> Option<Diagnostic> {
+    (!reached).then(|| {
+        Diagnostic::new(
+            NAME,
+            Severity::Warning,
+            node.addr,
+            "word is unreachable from every task entry",
+        )
+    })
+}
+
+/// The dead-arm warning at the CNT=0 branch `node` whose COUNT input
+/// is `input`, if one arm can never be taken.  The condition tests COUNT
+/// *after* the word's own FF executes (§6.3.3), so the check uses the
+/// post-transfer interval.
+pub(crate) fn dead_arm(node: &Node, input: Option<&Option<(u16, u16)>>) -> Option<Diagnostic> {
+    let (lo, hi) = CountInterval.transfer(node, input?)?;
+    let message = if lo == 0 && hi == 0 {
+        "the CNT≠0 arm of this branch is never taken: COUNT is always 0 here".to_string()
+    } else if lo > 0 {
+        format!("the CNT=0 arm of this branch is never taken: COUNT is always in [{lo}, {hi}] here")
+    } else {
+        return None;
+    };
+    Some(
+        Diagnostic::new(NAME, Severity::Warning, node.addr, message)
+            .note("the branch condition tests COUNT after this word's FF executes"),
+    )
+}
+
+const NAME: &str = "dead-code";
 
 /// The dead-code pass.
 pub struct DeadCode;
 
 impl Pass for DeadCode {
     fn name(&self) -> &'static str {
-        "dead-code"
+        NAME
     }
 
     fn run(&self, ctx: &PassCtx<'_>) -> Vec<Diagnostic> {
         let mut out = Vec::new();
         for node in ctx.cfg.iter() {
             let i = node.addr.raw() as usize;
-            if !ctx.emu_reach[i] && !ctx.io_reach[i] {
-                out.push(Diagnostic::new(
-                    self.name(),
-                    Severity::Warning,
-                    node.addr,
-                    "word is unreachable from every task entry",
-                ));
-            }
+            out.extend(unreachable(node, ctx.emu_reach[i] || ctx.io_reach[i]));
         }
         // CNT=0 dead arms, gated on COUNT being single-task.
-        for fact in cnt_dead_arms(ctx) {
-            let (lo, hi) = fact.interval;
-            let message = match fact.arm {
-                CntArm::AlwaysZero => {
-                    "the CNT≠0 arm of this branch is never taken: COUNT is always 0 here"
-                        .to_string()
-                }
-                CntArm::NeverZero => format!(
-                    "the CNT=0 arm of this branch is never taken: COUNT is always in \
-                     [{lo}, {hi}] here"
-                ),
-            };
-            out.push(
-                Diagnostic::new(self.name(), Severity::Warning, fact.at, message)
-                    .note("the branch condition tests COUNT after this word's FF executes"),
-            );
+        let emu_writes = ctx
+            .cfg
+            .iter()
+            .any(|n| ctx.emu_reach[n.addr.raw() as usize] && writes_count(n.word));
+        let io_writes = ctx
+            .cfg
+            .iter()
+            .any(|n| ctx.io_reach[n.addr.raw() as usize] && writes_count(n.word));
+        let mut roots = ctx.emu_roots();
+        roots.extend(ctx.io_roots());
+        let counts = fixpoint(ctx.cfg, &roots, &CountInterval, WIDEN_AFTER);
+        for node in ctx.cfg.iter() {
+            let i = node.addr.raw() as usize;
+            if is_cnt_branch(node.word)
+                && !count_shared(ctx.emu_reach[i], ctx.io_reach[i], emu_writes, io_writes)
+            {
+                out.extend(dead_arm(node, counts.input(node.addr)));
+            }
         }
         out
     }

@@ -14,12 +14,13 @@
 //!   silently clobbers machine state; if it decodes to a register read
 //!   it overrides the ALU result being written back.
 
-use dorado_asm::verify::verify;
-use dorado_asm::{ControlOp, FfOp};
+use dorado_asm::verify::{verify, verify_word};
+use dorado_asm::{ControlOp, FfOp, PlacedProgram};
 
+use crate::cfg::Node;
 use crate::diag::{Diagnostic, Severity};
 
-use super::{ff_function, Pass, PassCtx};
+use super::{ff_function, Pass, PassCtx, Tally};
 
 /// Whether executing `op` as an FF function writes machine state.
 fn writes_state(op: FfOp) -> bool {
@@ -47,9 +48,11 @@ fn writes_state(op: FfOp) -> bool {
 /// generalizations).
 pub struct FfConflict;
 
+const NAME: &str = "ff-conflict";
+
 impl Pass for FfConflict {
     fn name(&self) -> &'static str {
-        "ff-conflict"
+        NAME
     }
 
     fn run(&self, ctx: &PassCtx<'_>) -> Vec<Diagnostic> {
@@ -61,61 +64,76 @@ impl Pass for FfConflict {
             if seen.contains(&key) {
                 continue;
             }
-            out.push(Diagnostic::new(
-                self.name(),
-                Severity::Error,
-                v.at,
-                v.what.clone(),
-            ));
+            out.push(Diagnostic::new(NAME, Severity::Error, v.at, v.what.clone()));
             seen.push(key);
         }
         // Layer 2: decode-level double-claims.
         for node in ctx.cfg.iter() {
-            let control = node.word.control();
-            if ff_function(node.word) == Some(FfOp::IfuLoadPc)
-                && matches!(control, Ok(ControlOp::IfuJump))
-            {
-                out.push(
-                    Diagnostic::new(
-                        self.name(),
-                        Severity::Error,
-                        node.addr,
-                        "FF function IFULOADPC conflicts with IFUJUMP in the same word",
-                    )
-                    .note("the decoder rejects loading and dispatching the PC in one cycle"),
-                );
-            }
-            if matches!(control, Ok(ControlOp::Dispatch8 { .. })) {
-                if let Ok(op) = FfOp::decode(node.word.ff()) {
-                    let loads = node
-                        .word
-                        .load_control()
-                        .is_ok_and(|l| l.loads_t() || l.loads_rm());
-                    if writes_state(op) {
-                        out.push(
-                            Diagnostic::new(
-                                self.name(),
-                                Severity::Error,
-                                node.addr,
-                                format!(
-                                    "DISPATCH8 table page doubles as FF function {op:?}, which writes machine state"
-                                ),
-                            )
-                            .note("move the dispatch table to a page whose number decodes to a harmless function"),
-                        );
-                    } else if op.drives_result() && loads {
-                        out.push(Diagnostic::new(
-                            self.name(),
-                            Severity::Warning,
-                            node.addr,
-                            format!(
-                                "DISPATCH8 table page doubles as FF function {op:?}, overriding the value written back"
-                            ),
-                        ));
-                    }
-                }
-            }
+            decode_conflicts(node, &mut out);
         }
         out
+    }
+}
+
+/// The pass's error and warning counts at `node` alone: its distinct
+/// structural violations and its decode-level double-claims.  Both
+/// depend only on the word and on which words are used.
+pub(crate) fn word_tally(placed: &PlacedProgram, node: &Node) -> Tally {
+    let mut violations = Vec::new();
+    verify_word(placed, node.addr, &mut violations);
+    let mut whats: Vec<&str> = violations.iter().map(|v| v.what.as_str()).collect();
+    whats.sort_unstable();
+    whats.dedup();
+    let mut decode = Vec::new();
+    decode_conflicts(node, &mut decode);
+    let mut tally = Tally::of(&decode);
+    tally.errors += whats.len();
+    tally
+}
+
+/// Appends the decode-level double-claims of `node` to `out`.
+fn decode_conflicts(node: &Node, out: &mut Vec<Diagnostic>) {
+    let control = node.word.control();
+    if ff_function(node.word) == Some(FfOp::IfuLoadPc) && matches!(control, Ok(ControlOp::IfuJump))
+    {
+        out.push(
+            Diagnostic::new(
+                NAME,
+                Severity::Error,
+                node.addr,
+                "FF function IFULOADPC conflicts with IFUJUMP in the same word",
+            )
+            .note("the decoder rejects loading and dispatching the PC in one cycle"),
+        );
+    }
+    if matches!(control, Ok(ControlOp::Dispatch8 { .. })) {
+        if let Ok(op) = FfOp::decode(node.word.ff()) {
+            let loads = node
+                .word
+                .load_control()
+                .is_ok_and(|l| l.loads_t() || l.loads_rm());
+            if writes_state(op) {
+                out.push(
+                    Diagnostic::new(
+                        NAME,
+                        Severity::Error,
+                        node.addr,
+                        format!(
+                            "DISPATCH8 table page doubles as FF function {op:?}, which writes machine state"
+                        ),
+                    )
+                    .note("move the dispatch table to a page whose number decodes to a harmless function"),
+                );
+            } else if op.drives_result() && loads {
+                out.push(Diagnostic::new(
+                    NAME,
+                    Severity::Warning,
+                    node.addr,
+                    format!(
+                        "DISPATCH8 table page doubles as FF function {op:?}, overriding the value written back"
+                    ),
+                ));
+            }
+        }
     }
 }

@@ -142,63 +142,74 @@ pub fn fetch_started(cfg: &Cfg, roots: &[MicroAddr]) -> Vec<bool> {
         .collect()
 }
 
+/// Whether a predecessor of `node` starts a fetch: a MEMDATA read
+/// there holds in the very next cycle.
+fn adjacent_fetch(cfg: &Cfg, node: &Node) -> bool {
+    node.preds.iter().any(|&p| {
+        cfg.node(p)
+            .is_some_and(|n| n.word.asel().is_ok_and(ASel::is_fetch))
+    })
+}
+
+/// The pass's one warning, at `node` if it applies: a reachable
+/// (`reached`) MEMDATA read that no adjacent fetch precedes and whose
+/// fetch-started input (`fetch_started`) is false.
+pub(crate) fn fetchless_read(
+    cfg: &Cfg,
+    node: &Node,
+    reached: bool,
+    fetch_started: bool,
+) -> Option<Diagnostic> {
+    if !can_hold(node.word, HoldCause::MemData)
+        || !reached
+        || fetch_started
+        || adjacent_fetch(cfg, node)
+    {
+        return None;
+    }
+    Some(
+        Diagnostic::new(
+            NAME,
+            Severity::Warning,
+            node.addr,
+            "reads MEMDATA but no path from any task entry starts a fetch first",
+        )
+        .note("the read returns whatever the last memory reference left behind"),
+    )
+}
+
+const NAME: &str = "hold-hazard";
+
 /// The hold-hazard pass.
 pub struct HoldHazard;
 
 impl Pass for HoldHazard {
     fn name(&self) -> &'static str {
-        "hold-hazard"
+        NAME
     }
 
     fn run(&self, ctx: &PassCtx<'_>) -> Vec<Diagnostic> {
         let mut out = Vec::new();
-        let info = ctx.reports(Severity::Info);
         for node in ctx.cfg.iter() {
-            // MEMDATA consumers: definite after an adjacent fetch,
-            // possible otherwise; a consumer no fetch can precede is a
-            // genuine defect.
+            // MEMDATA consumers: a genuine defect when no fetch can
+            // precede them, else definite after an adjacent fetch and
+            // possible otherwise.
             if can_hold(node.word, HoldCause::MemData) {
                 let raw = node.addr.raw() as usize;
-                let adjacent_fetch = node.preds.iter().any(|&p| {
-                    ctx.cfg
-                        .node(p)
-                        .is_some_and(|n| n.word.asel().is_ok_and(ASel::is_fetch))
-                });
                 let reached = ctx.emu_reach[raw] || ctx.io_reach[raw];
-                if adjacent_fetch {
-                    if info {
-                        out.push(Diagnostic::new(
-                            self.name(),
-                            Severity::Info,
-                            node.addr,
-                            "definite Hold: consumes MEMDATA in the cycle after the fetch starts",
-                        ));
-                    }
-                } else if reached && !ctx.fetch_started[raw] {
-                    out.push(
-                        Diagnostic::new(
-                            self.name(),
-                            Severity::Warning,
-                            node.addr,
-                            "reads MEMDATA but no path from any task entry starts a fetch first",
-                        )
-                        .note("the read returns whatever the last memory reference left behind"),
-                    );
-                } else if info {
-                    out.push(Diagnostic::new(
-                        self.name(),
-                        Severity::Info,
-                        node.addr,
-                        "possible Hold: consumes MEMDATA (stalls until the fetch completes)",
-                    ));
-                }
-            }
-            if !info {
-                continue;
+                let finding = fetchless_read(ctx.cfg, node, reached, ctx.fetch_started[raw]);
+                out.push(finding.unwrap_or_else(|| {
+                    let what = if adjacent_fetch(ctx.cfg, node) {
+                        "definite Hold: consumes MEMDATA in the cycle after the fetch starts"
+                    } else {
+                        "possible Hold: consumes MEMDATA (stalls until the fetch completes)"
+                    };
+                    Diagnostic::new(NAME, Severity::Info, node.addr, what)
+                }));
             }
             if can_hold(node.word, HoldCause::IfuOperand) {
                 out.push(Diagnostic::new(
-                    self.name(),
+                    NAME,
                     Severity::Info,
                     node.addr,
                     "possible Hold: reads IFU operand bytes (stalls while the buffer is empty)",
@@ -206,7 +217,7 @@ impl Pass for HoldHazard {
             }
             if can_hold(node.word, HoldCause::IfuDispatch) {
                 out.push(Diagnostic::new(
-                    self.name(),
+                    NAME,
                     Severity::Info,
                     node.addr,
                     "possible Hold: IFUJUMP (stalls until an opcode is decoded)",
@@ -214,14 +225,14 @@ impl Pass for HoldHazard {
             }
             if can_hold(node.word, HoldCause::MemPipe) {
                 out.push(Diagnostic::new(
-                    self.name(),
+                    NAME,
                     Severity::Info,
                     node.addr,
                     "possible Hold: starts a fetch (stalls while the memory pipe is busy)",
                 ));
             } else if can_hold(node.word, HoldCause::MemStorage) {
                 out.push(Diagnostic::new(
-                    self.name(),
+                    NAME,
                     Severity::Info,
                     node.addr,
                     "possible Hold: memory reference (stalls while storage is busy)",
@@ -233,7 +244,7 @@ impl Pass for HoldHazard {
                 if let Some(what) = bypassed_pair(prev.word, node.word) {
                     out.push(
                         Diagnostic::new(
-                            self.name(),
+                            NAME,
                             Severity::Info,
                             node.addr,
                             format!("bypassed: reads {what} loaded by {p} in the previous cycle"),

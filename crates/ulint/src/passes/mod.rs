@@ -30,20 +30,9 @@ pub struct PassCtx<'a> {
     /// Per-word input of the "a fetch may have started" analysis from
     /// every root (dense, by raw address; see [`hold::fetch_started`]).
     pub fetch_started: &'a [bool],
-    /// The least severity the passes build findings at.  `Info` is the
-    /// full report; `Warning` skips every informational finding, which
-    /// leaves the error and warning counts unchanged and is what a
-    /// count-only lint ([`crate::LintSession`]) runs at.
-    pub floor: Severity,
 }
 
 impl PassCtx<'_> {
-    /// Whether findings at `severity` are built under this context's
-    /// [`floor`](PassCtx::floor).
-    pub fn reports(&self, severity: Severity) -> bool {
-        severity >= self.floor
-    }
-
     /// Emulator-task root addresses.
     pub fn emu_roots(&self) -> Vec<MicroAddr> {
         self.config.emu_roots.iter().map(|&(_, a)| a).collect()
@@ -52,6 +41,45 @@ impl PassCtx<'_> {
     /// I/O-task root addresses.
     pub fn io_roots(&self) -> Vec<MicroAddr> {
         self.config.io_roots.iter().map(|&(_, a)| a).collect()
+    }
+}
+
+/// Error and warning counts: all a count-only lint
+/// ([`crate::LintSession`]) keeps of a set of findings.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct Tally {
+    /// Error-severity findings.
+    pub(crate) errors: usize,
+    /// Warning-severity findings.
+    pub(crate) warnings: usize,
+}
+
+impl Tally {
+    /// The counts of `diags`.
+    pub(crate) fn of<'d>(diags: impl IntoIterator<Item = &'d Diagnostic>) -> Tally {
+        let mut t = Tally::default();
+        for d in diags {
+            match d.severity {
+                Severity::Error => t.errors += 1,
+                Severity::Warning => t.warnings += 1,
+                Severity::Info => {}
+            }
+        }
+        t
+    }
+}
+
+impl std::ops::AddAssign for Tally {
+    fn add_assign(&mut self, o: Tally) {
+        self.errors += o.errors;
+        self.warnings += o.warnings;
+    }
+}
+
+impl std::ops::SubAssign for Tally {
+    fn sub_assign(&mut self, o: Tally) {
+        self.errors -= o.errors;
+        self.warnings -= o.warnings;
     }
 }
 

@@ -18,7 +18,7 @@
 
 use dorado_base::MicroAddr;
 
-use crate::analysis::{fixpoint, Domain};
+use crate::analysis::{fixpoint, Domain, Fixpoint};
 use crate::cfg::{Cfg, Node};
 use crate::diag::{Diagnostic, Severity};
 
@@ -37,7 +37,10 @@ pub struct Depth {
     pub hi: i32,
 }
 
-struct DepthDomain;
+pub(crate) struct DepthDomain;
+
+/// Precise re-joins per node before [`DepthDomain`] widens.
+pub(crate) const WIDEN_AFTER: usize = 8;
 
 impl Domain for DepthDomain {
     type Value = Depth;
@@ -101,12 +104,117 @@ pub fn stack_sites(cfg: &Cfg, emu_reach: &[bool]) -> Vec<MicroAddr> {
         .collect()
 }
 
+/// What the depth states say about the emulator stack: the first stack
+/// operation (in address order) whose interval widened, and the span of
+/// every finite excursion.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Excursion {
+    pub(crate) drift: Option<MicroAddr>,
+    span: Depth,
+}
+
+/// The [`Excursion`] of the stack operations among `nodes` (in address
+/// order) under `states`; other nodes are skipped.
+pub(crate) fn excursion<'n>(
+    states: &Fixpoint<Depth>,
+    nodes: impl Iterator<Item = &'n Node>,
+) -> Excursion {
+    let mut ex = Excursion {
+        drift: None,
+        span: Depth { lo: 0, hi: 0 },
+    };
+    for node in nodes {
+        if !is_stack_op(node.word) {
+            continue;
+        }
+        let Some(input) = states.input(node.addr) else {
+            continue;
+        };
+        let after = DepthDomain.transfer(node, input);
+        if (after.lo <= MIN || after.hi >= MAX) && ex.drift.is_none() {
+            ex.drift = Some(node.addr);
+        }
+        ex.span.lo = ex.span.lo.min(after.lo.max(MIN + 1));
+        ex.span.hi = ex.span.hi.max(after.hi.min(MAX - 1));
+    }
+    ex
+}
+
+/// Whether some cycle through `at` holds a conditional branch, i.e. the
+/// loop can exit.
+pub(crate) fn has_exit(cfg: &Cfg, at: MicroAddr) -> bool {
+    cycle_through(cfg, at).iter().any(|&a| {
+        cfg.node(a)
+            .is_some_and(|n| matches!(n.word.control(), Ok(dorado_asm::ControlOp::CondGoto { .. })))
+    })
+}
+
+/// Appends the findings for `ex` to `out`, anchoring a span finding at
+/// the emulator `root`; `exits` answers [`has_exit`] for the drift
+/// site, if there is one.
+pub(crate) fn findings(
+    ex: &Excursion,
+    root: MicroAddr,
+    exits: impl FnOnce(MicroAddr) -> bool,
+    out: &mut Vec<Diagnostic>,
+) {
+    let Excursion { drift, span } = *ex;
+    if let Some(at) = drift {
+        // The interval widened: every circuit of some loop through this
+        // stack op moves STACKPTR.  If the loop has a conditional exit
+        // the depth is bounded by the (statically unknown) trip count —
+        // report for the listings; a loop with no conditional exit must
+        // overflow.  Report once, at the first such site.
+        if exits(at) {
+            out.push(Diagnostic::new(
+                NAME,
+                Severity::Info,
+                at,
+                "stack depth in this loop is bounded only by its iteration count \
+                 (net push/pop per circuit is nonzero)",
+            ));
+        } else {
+            out.push(
+                Diagnostic::new(
+                    NAME,
+                    Severity::Error,
+                    at,
+                    "stack depth drifts without bound around a loop (net push/pop is nonzero)",
+                )
+                .note("every circuit of the loop moves STACKPTR; the 64-word stack must overflow"),
+            );
+        }
+    } else if span.hi - span.lo > 63 {
+        out.push(Diagnostic::new(
+            NAME,
+            Severity::Error,
+            root,
+            format!(
+                "stack excursion [{:+}, {:+}] spans more than the 64-word stack",
+                span.lo, span.hi
+            ),
+        ));
+    } else if span.lo != 0 || span.hi != 0 {
+        out.push(Diagnostic::new(
+            NAME,
+            Severity::Info,
+            root,
+            format!(
+                "emulator stack excursion [{:+}, {:+}] words relative to entry",
+                span.lo, span.hi
+            ),
+        ));
+    }
+}
+
+const NAME: &str = "stack-depth";
+
 /// The stack-depth pass.
 pub struct StackDepth;
 
 impl Pass for StackDepth {
     fn name(&self) -> &'static str {
-        "stack-depth"
+        NAME
     }
 
     fn run(&self, ctx: &PassCtx<'_>) -> Vec<Diagnostic> {
@@ -115,79 +223,9 @@ impl Pass for StackDepth {
         if roots.is_empty() {
             return out;
         }
-        let states = fixpoint(ctx.cfg, &roots, &DepthDomain, 8);
-        let mut span = Depth { lo: 0, hi: 0 };
-        let mut drift_reported = false;
-        for node in ctx.cfg.iter() {
-            let Some(input) = states.input(node.addr) else {
-                continue;
-            };
-            if !is_stack_op(node.word) {
-                continue;
-            }
-            let after = DepthDomain.transfer(node, input);
-            if (after.lo <= MIN || after.hi >= MAX) && !drift_reported {
-                // The interval widened: every circuit of some loop
-                // through this stack op moves STACKPTR.  If the loop
-                // has a conditional exit the depth is bounded by the
-                // (statically unknown) trip count — report for the
-                // listings; a loop with no conditional exit must
-                // overflow.  Report once, at the first such site.
-                let cycle = cycle_through(ctx.cfg, node.addr);
-                let has_exit = cycle.iter().any(|&a| {
-                    ctx.cfg.node(a).is_some_and(|n| {
-                        matches!(n.word.control(), Ok(dorado_asm::ControlOp::CondGoto { .. }))
-                    })
-                });
-                if has_exit {
-                    if ctx.reports(Severity::Info) {
-                        out.push(Diagnostic::new(
-                            self.name(),
-                            Severity::Info,
-                            node.addr,
-                            "stack depth in this loop is bounded only by its iteration count \
-                             (net push/pop per circuit is nonzero)",
-                        ));
-                    }
-                } else {
-                    out.push(
-                        Diagnostic::new(
-                            self.name(),
-                            Severity::Error,
-                            node.addr,
-                            "stack depth drifts without bound around a loop (net push/pop is nonzero)",
-                        )
-                        .note("every circuit of the loop moves STACKPTR; the 64-word stack must overflow"),
-                    );
-                }
-                drift_reported = true;
-            }
-            span.lo = span.lo.min(after.lo.max(MIN + 1));
-            span.hi = span.hi.max(after.hi.min(MAX - 1));
-        }
-        if !drift_reported {
-            if span.hi - span.lo > 63 {
-                out.push(Diagnostic::new(
-                    self.name(),
-                    Severity::Error,
-                    roots[0],
-                    format!(
-                        "stack excursion [{:+}, {:+}] spans more than the 64-word stack",
-                        span.lo, span.hi
-                    ),
-                ));
-            } else if (span.lo != 0 || span.hi != 0) && ctx.reports(Severity::Info) {
-                out.push(Diagnostic::new(
-                    self.name(),
-                    Severity::Info,
-                    roots[0],
-                    format!(
-                        "emulator stack excursion [{:+}, {:+}] words relative to entry",
-                        span.lo, span.hi
-                    ),
-                ));
-            }
-        }
+        let states = fixpoint(ctx.cfg, &roots, &DepthDomain, WIDEN_AFTER);
+        let ex = excursion(&states, ctx.cfg.iter());
+        findings(&ex, roots[0], |at| has_exit(ctx.cfg, at), &mut out);
         out
     }
 }

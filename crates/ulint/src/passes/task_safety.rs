@@ -22,9 +22,10 @@
 use dorado_asm::{BSel, Cond, ControlOp, FfOp, Microword};
 use dorado_base::{MicroAddr, MICROSTORE_SIZE};
 
-use crate::analysis::{fixpoint, Domain};
+use crate::analysis::{Domain, Fixpoint};
 use crate::cfg::Node;
 use crate::diag::{Diagnostic, Severity};
+use crate::LintConfig;
 
 use super::{ff_function, is_stack_op, Pass, PassCtx};
 
@@ -35,13 +36,13 @@ const COUNT: u8 = 1 << 0;
 const Q: u8 = 1 << 1;
 const SHIFTCTL: u8 = 1 << 2;
 const STACKPTR: u8 = 1 << 3;
-const ALL: u8 = COUNT | Q | SHIFTCTL | STACKPTR;
+pub(crate) const ALL: u8 = COUNT | Q | SHIFTCTL | STACKPTR;
 
 /// One word's shared-register reads and writes, decoded once, under
 /// both task readings of the BLOCK bit (on the emulator task it is a
 /// stack operation; on an I/O task, a yield).
 #[derive(Debug, Clone, Copy, Default)]
-struct Masks {
+pub(crate) struct Masks {
     emu_reads: u8,
     emu_writes: u8,
     io_reads: u8,
@@ -49,7 +50,7 @@ struct Masks {
 }
 
 impl Masks {
-    fn decode(word: Microword) -> Masks {
+    pub(crate) fn decode(word: Microword) -> Masks {
         let ff = ff_function(word);
         let ff_writes = match ff {
             Some(FfOp::LoadCount | FfOp::LoadCountImm(_) | FfOp::DecCount) => COUNT,
@@ -97,7 +98,7 @@ impl Masks {
 /// bit each).  At the handler entry every register holds whatever ran
 /// before the wakeup; a write makes it fresh; a BLOCK yield (the FF
 /// executes first, then the task sleeps) makes them all stale again.
-struct Stale<'m>(&'m [Masks]);
+pub(crate) struct Stale<'m>(pub(crate) &'m [Masks]);
 
 impl Domain for Stale<'_> {
     type Value = u8;
@@ -116,25 +117,38 @@ impl Domain for Stale<'_> {
     }
 }
 
+/// The shared registers word `m` writes, and those it reads
+/// vulnerably, on the emulator task: preemptible everywhere, so every
+/// read is vulnerable.
+pub(crate) fn emu_access(m: Masks) -> (u8, u8) {
+    (m.emu_writes, m.emu_reads)
+}
+
+/// The same on an I/O task, where a read is vulnerable only while the
+/// register may be `stale` (the word's [`Stale`] input).
+pub(crate) fn io_access(m: Masks, stale: u8) -> (u8, u8) {
+    (m.io_writes, m.io_reads & stale)
+}
+
 /// What one task region does with each shared register: its first
 /// write, and its first two vulnerable reads (the first read that is
 /// not the clobbering write itself is always among them).
-#[derive(Default)]
-struct RegionUse {
-    first_write: [Option<MicroAddr>; 4],
-    reads: [[Option<MicroAddr>; 2]; 4],
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct RegionUse {
+    pub(crate) first_write: [Option<MicroAddr>; 4],
+    pub(crate) reads: [[Option<MicroAddr>; 2]; 4],
 }
 
 impl RegionUse {
-    /// Records the word at `addr`; `vulnerable` marks the registers
-    /// whose read here is exposed to another task's write.
-    fn record(&mut self, addr: MicroAddr, writes: u8, reads: u8, vulnerable: u8) {
+    /// Records the word at `addr`, visited in address order, with the
+    /// registers it writes and reads vulnerably.
+    fn record(&mut self, addr: MicroAddr, (writes, reads): (u8, u8)) {
         for k in 0..SHARED.len() {
             let bit = 1 << k;
             if writes & bit != 0 && self.first_write[k].is_none() {
                 self.first_write[k] = Some(addr);
             }
-            if reads & vulnerable & bit != 0 {
+            if reads & bit != 0 {
                 if let Some(slot) = self.reads[k].iter_mut().find(|r| r.is_none()) {
                     *slot = Some(addr);
                 }
@@ -143,12 +157,55 @@ impl RegionUse {
     }
 }
 
+/// Appends the pass's findings over `regions` to `out`: region 0 is the
+/// emulator task, region `i > 0` the handler at `config.io_roots[i - 1]`.
+pub(crate) fn findings(config: &LintConfig, regions: &[RegionUse], out: &mut Vec<Diagnostic>) {
+    let label = |i: usize| match i {
+        0 => "the emulator task".to_string(),
+        _ => format!("I/O task `{}`", config.io_roots[i - 1].0),
+    };
+    for (k, reg) in SHARED.iter().enumerate() {
+        for (i, region) in regions.iter().enumerate() {
+            // The first write of the register by any *other* region.
+            let clobber = regions
+                .iter()
+                .enumerate()
+                .filter(|&(j, _)| j != i)
+                .find_map(|(j, other)| other.first_write[k].map(|a| (j, a)));
+            let Some((by, at)) = clobber else { continue };
+            let site = region.reads[k].iter().flatten().find(|&&a| a != at);
+            if let Some(&site) = site {
+                out.push(
+                    Diagnostic::new(
+                        NAME,
+                        Severity::Error,
+                        site,
+                        format!(
+                            "{reg} is read by {} but {} writes it at {at}; the value does \
+                             not survive a task switch",
+                            label(i),
+                            label(by),
+                        ),
+                    )
+                    .note(
+                        "COUNT, Q, SHIFTCTL and STACKPTR are shared across tasks (§6.2); \
+                         keep the value in T or an RM cell, or ensure only one task uses \
+                         the register",
+                    ),
+                );
+            }
+        }
+    }
+}
+
+const NAME: &str = "task-safety";
+
 /// The task-safety pass.
 pub struct TaskSafety;
 
 impl Pass for TaskSafety {
     fn name(&self) -> &'static str {
-        "task-safety"
+        NAME
     }
 
     fn run(&self, ctx: &PassCtx<'_>) -> Vec<Diagnostic> {
@@ -161,66 +218,34 @@ impl Pass for TaskSafety {
         for node in ctx.cfg.iter() {
             masks[node.addr.raw() as usize] = Masks::decode(node.word);
         }
-        // Region 0 is the emulator task: preemptible everywhere, so
-        // every read is vulnerable.  Each I/O handler is one region,
-        // where only reads of a possibly-stale value are.
+        // Region 0 is the emulator task: preemptible everywhere, so every
+        // read is vulnerable.  Each I/O handler is one region, where only
+        // reads of a possibly-stale value are.  The handlers' staleness
+        // solves share one solver.
         let mut regions = Vec::with_capacity(ctx.config.io_roots.len() + 1);
         let mut emu = RegionUse::default();
         for node in ctx.cfg.iter() {
-            if ctx.emu_reach[node.addr.raw() as usize] {
-                let m = masks[node.addr.raw() as usize];
-                emu.record(node.addr, m.emu_writes, m.emu_reads, ALL);
+            let raw = node.addr.raw() as usize;
+            if ctx.emu_reach[raw] {
+                emu.record(node.addr, emu_access(masks[raw]));
             }
         }
         regions.push(emu);
+        let mut stale = Fixpoint::default();
+        let mut order = Vec::new();
         for &(_, root) in &ctx.config.io_roots {
-            let stale = fixpoint(ctx.cfg, &[root], &Stale(&masks), 4);
-            let mut reached = stale.reached().to_vec();
-            reached.sort_unstable();
+            stale.solve(ctx.cfg, &[root], &Stale(&masks), 4);
+            order.clear();
+            order.extend_from_slice(stale.reached());
+            order.sort_unstable();
             let mut io = RegionUse::default();
-            for addr in reached {
-                let m = masks[addr.raw() as usize];
+            for &addr in &order {
                 let vulnerable = stale.input(addr).copied().unwrap_or(0);
-                io.record(addr, m.io_writes, m.io_reads, vulnerable);
+                io.record(addr, io_access(masks[addr.raw() as usize], vulnerable));
             }
             regions.push(io);
         }
-        let label = |i: usize| match i {
-            0 => "the emulator task".to_string(),
-            _ => format!("I/O task `{}`", ctx.config.io_roots[i - 1].0),
-        };
-        for (k, reg) in SHARED.iter().enumerate() {
-            for (i, region) in regions.iter().enumerate() {
-                // The first write of the register by any *other* region.
-                let clobber = regions
-                    .iter()
-                    .enumerate()
-                    .filter(|&(j, _)| j != i)
-                    .find_map(|(j, other)| other.first_write[k].map(|a| (j, a)));
-                let Some((by, at)) = clobber else { continue };
-                let site = region.reads[k].iter().flatten().find(|&&a| a != at);
-                if let Some(&site) = site {
-                    out.push(
-                        Diagnostic::new(
-                            self.name(),
-                            Severity::Error,
-                            site,
-                            format!(
-                                "{reg} is read by {} but {} writes it at {at}; the value does \
-                                 not survive a task switch",
-                                label(i),
-                                label(by),
-                            ),
-                        )
-                        .note(
-                            "COUNT, Q, SHIFTCTL and STACKPTR are shared across tasks (§6.2); \
-                             keep the value in T or an RM cell, or ensure only one task uses \
-                             the register",
-                        ),
-                    );
-                }
-            }
-        }
+        findings(ctx.config, &regions, &mut out);
         out
     }
 }

@@ -129,9 +129,6 @@ impl Pass for WastedSlotPass {
     }
 
     fn run(&self, ctx: &PassCtx<'_>) -> Vec<Diagnostic> {
-        if !ctx.reports(Severity::Info) {
-            return Vec::new(); // the census is informational only
-        }
         wasted_slots(ctx)
             .into_iter()
             .map(|w| match w.kind {

@@ -42,20 +42,21 @@ use dorado_asm::{
     Cond, ControlOp, FfSlot, Inst, Item, MicroProgram, Microword, PlacedProgram, SlotUse,
 };
 use dorado_base::MicroAddr;
-use dorado_ulint::{Analyses, LintSession};
+use dorado_ulint::{Analyses, LintSession, SessionWork};
 
 use crate::deps::{consumes_carry, consumes_memdata};
 use crate::OptReport;
 
 /// Fills every safe relay in `placed` (the placement of `program`),
 /// consulting `an` (computed over this same placement) for path facts,
-/// recording fills and refusals in `report`.
+/// recording fills and refusals in `report`.  Returns the validation
+/// session's work counters.
 pub fn fill(
     placed: &mut PlacedProgram,
     program: &MicroProgram,
     an: &Analyses,
     report: &mut OptReport,
-) {
+) -> SessionWork {
     let insts = listing(program);
     let relays: Vec<(MicroAddr, String)> = placed
         .uses()
@@ -90,6 +91,7 @@ pub fn fill(
             report.refuse("fill would strand the target from the paths that kept it lint-clean");
         }
     }
+    session.work()
 }
 
 /// The instructions of `program`, by listing index.
