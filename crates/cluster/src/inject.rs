@@ -116,9 +116,8 @@ pub fn kill_and_recover(
 /// [`port_address`]: crate::workload::port_address
 pub const UNROUTABLE: Word = 0xffff;
 
-/// A deterministic packet-fault injector for
-/// [`run_sequential_mangled`](crate::exec::run_sequential_mangled) /
-/// [`ClusterSim::run_mangled`]: each outbound packet is independently
+/// A deterministic packet-fault injector for [`ClusterSim::run_mangled`]
+/// (a [`Mangle`](crate::exec::Mangle) hook): each outbound packet is independently
 /// lost on the wire with probability `drop_permille`/1000, else its
 /// destination word is rewritten to [`UNROUTABLE`] with probability
 /// `corrupt_permille`/1000.
@@ -264,5 +263,29 @@ mod tests {
         // of it — is identical.
         assert_eq!(seq, run(Exec::Pool(2)));
         assert_eq!(seq, run(Exec::Pool(5)));
+
+        // A hook that empties every third packet: an empty packet is lost
+        // on the wire, the same way under every strategy.
+        let run_emptying = |exec| {
+            let mut sim = open_cluster();
+            let mut seen = 0u64;
+            sim.run_mangled(80, exec, &mut |_, _, pkt| {
+                seen += 1;
+                if seen.is_multiple_of(3) {
+                    pkt.clear();
+                }
+                true
+            });
+            (sim.save_checkpoint(), sim.report(), seen)
+        };
+        let seq = run_emptying(Exec::Sequential);
+        assert!(seq.2 >= 3, "the hook never emptied a packet");
+        assert_eq!(
+            seq.1.fabric().tx_packets(),
+            seq.2 - seq.2 / 3,
+            "emptied packets never reach the fabric"
+        );
+        assert_eq!(seq, run_emptying(Exec::Pool(2)));
+        assert_eq!(seq, run_emptying(Exec::Pool(5)));
     }
 }

@@ -9,8 +9,11 @@
 //! * [`fabric`] — the switch: word-time latency model, source/destination
 //!   addressing via packet word 0, per-port traffic counters, and a
 //!   determinism contract that survives multi-threaded sends;
-//! * [`exec`] — the epoch executor: fixed cycle quanta, barrier-separated
-//!   run/send/collect phases, packets delivered only at epoch boundaries;
+//! * [`exec`] — the epoch executor: one entry point, [`exec::run`], with
+//!   two strategies ([`Exec`]) — the sequential oracle and the
+//!   work-stealing pool — over fixed cycle quanta, barrier-separated
+//!   run/send/collect phases, and packets delivered only at epoch
+//!   boundaries;
 //! * [`workload`] — the driver: echo/RPC servers and open- or closed-loop
 //!   clients built from the microcode in [`dorado_emu::cluster`], plus
 //!   throughput, latency, and utilization measurement;
@@ -29,10 +32,7 @@ pub mod fabric;
 pub mod inject;
 pub mod workload;
 
-pub use exec::{
-    run_parallel, run_pool, run_pool_mangled, run_sequential, run_sequential_mangled, EpochConfig,
-    Exec, Mangle,
-};
+pub use exec::{EpochConfig, Exec, Mangle};
 pub use fabric::{Fabric, FabricConfig, PacketRecord};
 pub use inject::{kill_and_recover, PacketMangler, Recovery};
 pub use workload::{ClusterConfig, ClusterSim, MachineSpec, Role};

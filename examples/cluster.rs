@@ -11,7 +11,7 @@
 //! ```
 //!
 //! `--pool=0` (the default executor) sizes the pool to the host's cores;
-//! `--threads` selects the legacy thread-per-machine executor;
+//! `--sequential` runs every machine on the calling thread;
 //! `--verify` replays the run sequentially and exits nonzero unless the
 //! report and the full checkpoint image are bit-identical.
 
@@ -46,8 +46,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             Some(("--pool", v)) => exec = Exec::Pool(parse("--pool", v)?),
             None if arg == "--open-loop" => open_loop = true,
             None if arg == "--sequential" => exec = Exec::Sequential,
-            None if arg == "--threads" => exec = Exec::Threads,
-            None if arg == "--parallel" => exec = Exec::Threads,
             None if arg == "--verify" => verify = true,
             _ => return Err(format!("unknown argument `{arg}`").into()),
         }
@@ -66,7 +64,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     };
     let exec_name = match exec {
         Exec::Sequential => "sequential".to_string(),
-        Exec::Threads => "thread-per-machine".to_string(),
         Exec::Pool(n) => format!("pool({})", Exec::pool_workers(n, machines)),
     };
     println!(
