@@ -44,7 +44,8 @@ impl Cfg {
     pub fn build(placed: &PlacedProgram) -> Cfg {
         use crate::placer::SlotUse;
         let uses = placed.uses();
-        let used = |a: MicroAddr| !matches!(uses[a.raw() as usize], SlotUse::Empty | SlotUse::Waste);
+        let used =
+            |a: MicroAddr| !matches!(uses[a.raw() as usize], SlotUse::Empty | SlotUse::Waste);
         let mut nodes: Vec<Option<Node>> = vec![None; MICROSTORE_SIZE];
         for (i, slot) in uses.iter().enumerate() {
             let relay = match slot {
@@ -190,7 +191,9 @@ pub fn successors(at: MicroAddr, word: Microword) -> Vec<MicroAddr> {
         ControlOp::Return | ControlOp::IfuJump => Vec::new(),
         ControlOp::Dispatch8 { base_hi } => {
             let base = MicroAddr::from_parts(ff.into(), if base_hi { 8 } else { 0 });
-            (0..8).map(|k| base.with_offset(base.page_offset() + k)).collect()
+            (0..8)
+                .map(|k| base.with_offset(base.page_offset() + k))
+                .collect()
         }
         ControlOp::Dispatch256 => {
             let base = u16::from(ff & 0xf) << 8;

@@ -164,9 +164,7 @@ mod tests {
 
     #[test]
     fn renders_constants() {
-        let w = Microword::default()
-            .with_bsel(BSel::ConstLo1)
-            .with_ff(0x42);
+        let w = Microword::default().with_bsel(BSel::ConstLo1).with_ff(0x42);
         let s = disassemble(MicroAddr::new(0), w);
         assert!(s.contains("0xff42"), "{s}");
     }

@@ -75,7 +75,10 @@ impl std::fmt::Display for AsmError {
                 write!(f, "{field} value {value} exceeds maximum {max}")
             }
             AsmError::ConstantNotByteForm(v) => {
-                write!(f, "constant {v:#06x} is not in byte form (needs two instructions)")
+                write!(
+                    f,
+                    "constant {v:#06x} is not in byte form (needs two instructions)"
+                )
             }
             AsmError::ReservedEncoding { field, value } => {
                 write!(f, "reserved {field} encoding {value:#x}")

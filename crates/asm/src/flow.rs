@@ -182,8 +182,7 @@ impl std::fmt::Display for ControlOp {
 /// Symbolic control flow, as written in assembler source.  The placer turns
 /// these into concrete [`ControlOp`]s (inserting long forms and relay
 /// instructions where targets land on other pages).
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-#[derive(Default)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
 pub enum Flow {
     /// Continue with the next instruction in the listing.  (The hardware
     /// has no fall-through: the placer encodes this as a `Goto` to wherever
@@ -230,7 +229,6 @@ impl Flow {
         }
     }
 }
-
 
 #[cfg(test)]
 mod tests {

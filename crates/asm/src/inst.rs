@@ -8,8 +8,8 @@
 //! paper describes — above all the single-FF-use rule of §5.5.
 
 use crate::constants::const_bsel;
-use crate::fields::{ASel, AluOp, BSel, Cond, LoadControl};
 use crate::ff::FfOp;
+use crate::fields::{ASel, AluOp, BSel, Cond, LoadControl};
 use crate::flow::Flow;
 use dorado_base::Word;
 
@@ -113,7 +113,10 @@ impl Inst {
     #[must_use]
     pub fn rm(mut self, n: u8) -> Self {
         assert!(n < 16, "RAddress {n} out of range (high bits from RBASE)");
-        assert!(!self.block, "rm() conflicts with an earlier stack()/block()");
+        assert!(
+            !self.block,
+            "rm() conflicts with an earlier stack()/block()"
+        );
         self.raddr = n;
         self
     }
@@ -128,7 +131,10 @@ impl Inst {
     /// specified.
     #[must_use]
     pub fn stack(mut self, delta: i8) -> Self {
-        assert!((-8..=7).contains(&delta), "stack delta {delta} out of range");
+        assert!(
+            (-8..=7).contains(&delta),
+            "stack delta {delta} out of range"
+        );
         assert!(!self.block, "stack()/block() specified twice");
         assert!(
             self.raddr == 0,

@@ -47,8 +47,8 @@ pub mod cfg;
 pub mod constants;
 pub mod disasm;
 pub mod error;
-pub mod fields;
 pub mod ff;
+pub mod fields;
 pub mod flow;
 pub mod inst;
 pub mod microword;
@@ -61,8 +61,8 @@ pub mod verify;
 pub use alu::{alu_eval, default_alufm, AluFunction, AluOutput};
 pub use constants::{const_bsel, const_value, synthesis_cost};
 pub use error::AsmError;
-pub use fields::{ASel, AluOp, BSel, Cond, LoadControl};
 pub use ff::FfOp;
+pub use fields::{ASel, AluOp, BSel, Cond, LoadControl};
 pub use flow::{ControlOp, Flow};
 pub use inst::{FfSlot, Inst};
 pub use microword::Microword;

@@ -459,10 +459,7 @@ fn layout_pass(
     let mut cur = Cursor { next: 0 };
 
     let has_directive = |k: usize| {
-        listing.pair_align[k]
-            || listing.align8[k]
-            || listing.align256[k]
-            || listing.page_break[k]
+        listing.pair_align[k] || listing.align8[k] || listing.align256[k] || listing.page_break[k]
     };
 
     let mut i = 0usize;
@@ -478,7 +475,10 @@ fn layout_pass(
         // same-page reach or a free FF for the cross-page long form — so a
         // segment is placed page by page, splitting at FF-free words.
         let mut seg = vec![i];
-        while matches!(listing.insts[*seg.last().expect("nonempty")].flow, Flow::Next) {
+        while matches!(
+            listing.insts[*seg.last().expect("nonempty")].flow,
+            Flow::Next
+        ) {
             let j = seg.last().unwrap() + 1;
             if j >= n || layout.inst_addr[j].is_some() || has_directive(j) {
                 break;
@@ -516,11 +516,18 @@ fn layout_pass(
                     .find(|&s| matches!(layout.slots[s], Some(Slot::Waste)));
                 match hole {
                     Some(s) => {
-                        layout.slots[s] = Some(Slot::Relay { target: tgt.clone() });
+                        layout.slots[s] = Some(Slot::Relay {
+                            target: tgt.clone(),
+                        });
                         layout.waste -= 1;
                     }
                     None => {
-                        cur.alloc(&mut layout, Slot::Relay { target: tgt.clone() })?;
+                        cur.alloc(
+                            &mut layout,
+                            Slot::Relay {
+                                target: tgt.clone(),
+                            },
+                        )?;
                     }
                 }
             }
@@ -666,10 +673,7 @@ fn place_branch(
     // allocation (relays) instead of forcing a page move.
     layout.pinned.insert(i);
     if let (Some(fa), Some(ta)) = (layout.inst_addr[f_idx], layout.inst_addr[t_idx]) {
-        if fa.page_offset() % 2 == 0
-            && ta.raw() == fa.raw() + 1
-            && page_of(cur.next) == fa.page()
-        {
+        if fa.page_offset() % 2 == 0 && ta.raw() == fa.raw() + 1 && page_of(cur.next) == fa.page() {
             let addr = cur.alloc(layout, Slot::Inst(i))?;
             record_inst(listing, layout, i, addr);
             layout.branch_pair.insert(i, fa.page_offset() / 2);
@@ -698,8 +702,7 @@ fn place_branch(
     // need no target at all.  Arms that fail this are relayed instead and
     // their instruction placed later as a normal segment.
     let inline_ok = |k: usize| {
-        listing.insts[k].ff_free()
-            || matches!(listing.insts[k].flow, Flow::Return | Flow::IfuJump)
+        listing.insts[k].ff_free() || matches!(listing.insts[k].flow, Flow::Return | Flow::IfuJump)
     };
     let addr;
     if branch_first {
@@ -765,7 +768,8 @@ fn place_branch(
     Ok(())
 }
 
-type EncodeResult = Result<(Vec<Microword>, Vec<SlotUse>, PlacementStats), Result<Repair, AsmError>>;
+type EncodeResult =
+    Result<(Vec<Microword>, Vec<SlotUse>, PlacementStats), Result<Repair, AsmError>>;
 
 fn encode_pass(listing: &Listing<'_>, layout: &Layout) -> EncodeResult {
     let mut words = vec![Microword::default(); MICROSTORE_SIZE];
@@ -872,10 +876,9 @@ fn encode_inst(
     let ff_free = base_ff.is_none();
     let (control, flow_ff) = match &inst.flow {
         Flow::Next => {
-            let dest = next_inst_addr(listing, layout, i)
-                .ok_or(Err(AsmError::UndefinedLabel(
-                    "fall-through past the last instruction".into(),
-                )))?;
+            let dest = next_inst_addr(listing, layout, i).ok_or(Err(AsmError::UndefinedLabel(
+                "fall-through past the last instruction".into(),
+            )))?;
             match route(at, dest, ff_free, false) {
                 Ok(x) => x,
                 Err(_) if at.page_offset() != 0 => {
@@ -1123,9 +1126,9 @@ mod tests {
         a.label("t1");
         a.emit(nop()); // odd
         a.emit(nop().branch(Cond::Zero, "t1", "f1")); // case A, no relays
-        // A second branch to the same targets from elsewhere cannot reuse
-        // the pair (it is not at the cursor's page position after more code)
-        // — it gets relay duplication, the §5.5 annoyance.
+                                                      // A second branch to the same targets from elsewhere cannot reuse
+                                                      // the pair (it is not at the cursor's page position after more code)
+                                                      // — it gets relay duplication, the §5.5 annoyance.
         for _ in 0..20 {
             a.emit(nop());
         }
@@ -1161,8 +1164,8 @@ mod tests {
         a.emit(nop().ret());
         a.page_break();
         a.page_break(); // still one break; idempotent on page boundary
-        // A fall-through predecessor pins `sub` (the compactor would
-        // otherwise pull a lone relocatable instruction back into page 0).
+                        // A fall-through predecessor pins `sub` (the compactor would
+                        // otherwise pull a lone relocatable instruction back into page 0).
         a.emit(nop());
         a.label("sub");
         a.emit(nop().ret());

@@ -85,9 +85,7 @@ impl MicroProgram {
             if let Item::Inst(inst) = item {
                 if let Some(prev) = prev_inst {
                     if matches!(prev.flow, Flow::Next) && hazard(prev, inst) {
-                        out.push(Item::Inst(
-                            Inst::new().note("no-bypass pad (Model 0)"),
-                        ));
+                        out.push(Item::Inst(Inst::new().note("no-bypass pad (Model 0)")));
                     }
                 }
                 prev_inst = Some(inst);
@@ -111,15 +109,13 @@ fn hazard(prev: &Inst, next: &Inst) -> bool {
         Some(FfOp::ShOut) | Some(FfOp::ShOutZ) | Some(FfOp::ShOutM)
     );
 
-    let next_reads_t =
-        next.asel.reads_t() || next.bsel == crate::fields::BSel::T || next_shifts;
+    let next_reads_t = next.asel.reads_t() || next.bsel == crate::fields::BSel::T || next_shifts;
     // Conservative on RM: the low 4 address bits must match (RBASE is
     // dynamic, so equality of the full address cannot be decided here).
-    let next_reads_same_rm = (next.asel.reads_rm()
-        || next.bsel == crate::fields::BSel::Rm
-        || next_shifts)
-        && next.raddr == prev.raddr
-        && next.block == prev.block; // stack ops only alias stack ops
+    let next_reads_same_rm =
+        (next.asel.reads_rm() || next.bsel == crate::fields::BSel::Rm || next_shifts)
+            && next.raddr == prev.raddr
+            && next.block == prev.block; // stack ops only alias stack ops
     let next_reads_q = next.bsel == crate::fields::BSel::Q
         || next.ff_op() == Some(FfOp::ReadQ)
         || matches!(next.ff_op(), Some(FfOp::MulStep) | Some(FfOp::DivStep));

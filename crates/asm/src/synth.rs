@@ -8,8 +8,8 @@
 //! store.  The generator is deterministic given a seed (a small xorshift
 //! PRNG, so this crate needs no external randomness).
 
-use crate::fields::{ASel, AluOp, BSel, Cond};
 use crate::ff::FfOp;
+use crate::fields::{ASel, AluOp, BSel, Cond};
 use crate::inst::Inst;
 use crate::program::{Assembler, MicroProgram};
 

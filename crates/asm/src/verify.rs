@@ -132,8 +132,7 @@ pub fn verify_word(placed: &PlacedProgram, at: MicroAddr, out: &mut Vec<Violatio
             }
         }
         ControlOp::Dispatch8 { base_hi } => {
-            let base =
-                MicroAddr::from_parts(word.ff().into(), if base_hi { 8 } else { 0 });
+            let base = MicroAddr::from_parts(word.ff().into(), if base_hi { 8 } else { 0 });
             for k in 0..8u16 {
                 let d = MicroAddr::new(base.raw() + k);
                 if !used(placed, d) {
@@ -214,7 +213,11 @@ mod tests {
         a.label("exit");
         a.emit(nop().ff_halt().goto_("exit"));
         a.label("body");
-        a.emit(nop().ff(crate::ff::FfOp::DecCount).branch(Cond::CntZero, "exit", "top"));
+        a.emit(
+            nop()
+                .ff(crate::ff::FfOp::DecCount)
+                .branch(Cond::CntZero, "exit", "top"),
+        );
         let placed = a.place().unwrap();
         assert_eq!(verify(&placed), vec![]);
         assert!(verify_ok(&placed).is_ok());
@@ -263,7 +266,9 @@ mod tests {
         placed.set_word(MicroAddr::new(0), bad);
         let violations = verify(&placed);
         assert!(
-            violations.iter().any(|v| v.what.contains("page and constant")),
+            violations
+                .iter()
+                .any(|v| v.what.contains("page and constant")),
             "{violations:?}"
         );
     }

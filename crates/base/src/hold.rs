@@ -81,8 +81,7 @@ mod tests {
 
     #[test]
     fn names_are_unique() {
-        let names: std::collections::HashSet<_> =
-            HoldCause::ALL.iter().map(|c| c.name()).collect();
+        let names: std::collections::HashSet<_> = HoldCause::ALL.iter().map(|c| c.name()).collect();
         assert_eq!(names.len(), HoldCause::COUNT);
     }
 }

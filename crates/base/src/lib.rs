@@ -197,7 +197,10 @@ impl MicroAddr {
     #[inline]
     pub fn from_parts(page: u16, offset: u16) -> Self {
         assert!((page as usize) < NUM_PAGES, "page {page} out of range");
-        assert!((offset as usize) < PAGE_SIZE, "offset {offset} out of range");
+        assert!(
+            (offset as usize) < PAGE_SIZE,
+            "offset {offset} out of range"
+        );
         MicroAddr(page * PAGE_SIZE as u16 + offset)
     }
 

@@ -25,7 +25,7 @@ use crate::hold::HoldCause;
 use crate::metrics::{FabricStats, Requester};
 use crate::stats::Stats;
 use crate::task::TaskId;
-use crate::{MUNCH_WORDS, NUM_TASKS, Word};
+use crate::{Word, MUNCH_WORDS, NUM_TASKS};
 
 /// A measurement window: a counter snapshot plus the clock that converts
 /// cycle counts into the paper's wall-clock units.
@@ -270,7 +270,12 @@ impl std::fmt::Display for Report {
         for cause in HoldCause::ALL {
             let n = self.holds_for(cause);
             if n > 0 {
-                writeln!(f, "{:>12}: {n} ({:.2}% of cycles)", cause.name(), 100.0 * self.fraction(n))?;
+                writeln!(
+                    f,
+                    "{:>12}: {n} ({:.2}% of cycles)",
+                    cause.name(),
+                    100.0 * self.fraction(n)
+                )?;
             }
         }
         if self.holds_total() == 0 {
@@ -325,7 +330,10 @@ impl std::fmt::Display for Report {
         write!(
             f,
             "ifu: {} dispatches, {} micro/macro, taken-branch {}, buffer mean {:.1} B",
-            s.ifu.dispatches, micro_per_macro, taken, s.ifu.mean_buffer_bytes()
+            s.ifu.dispatches,
+            micro_per_macro,
+            taken,
+            s.ifu.mean_buffer_bytes()
         )
     }
 }
@@ -416,7 +424,13 @@ impl ClusterReport {
         machines: Vec<(String, Stats)>,
         fabric: FabricStats,
     ) -> Self {
-        ClusterReport { clock, cycles, machines, fabric, workload: None }
+        ClusterReport {
+            clock,
+            cycles,
+            machines,
+            fabric,
+            workload: None,
+        }
     }
 
     /// Attaches the traffic-model summary (builder style).
@@ -629,7 +643,11 @@ mod tests {
         let r = sample();
         // 100 words * 16 bits over 1000 cycles * 60 ns = 1600 bits / 60 us.
         let want = 1600.0 / (1000.0 * 60.0 * 1e-9) / 1e12 * 1e6;
-        assert!((r.slow_io_mbps() - want).abs() < 1e-6, "{}", r.slow_io_mbps());
+        assert!(
+            (r.slow_io_mbps() - want).abs() < 1e-6,
+            "{}",
+            r.slow_io_mbps()
+        );
         // One munch is 256 bits; 10 munches over the same window.
         assert!((r.fast_io_mbps() - 10.0 * 256.0 / 1600.0 * want).abs() < 1e-6);
         // 15 storage refs move 15 munches.
@@ -817,12 +835,7 @@ mod tests {
 
     #[test]
     fn cluster_zero_window_is_zero() {
-        let r = ClusterReport::new(
-            ClockConfig::multiwire(),
-            0,
-            vec![],
-            FabricStats::new(0, 89),
-        );
+        let r = ClusterReport::new(ClockConfig::multiwire(), 0, vec![], FabricStats::new(0, 89));
         assert_eq!(r.fabric_rx_mbps(), 0.0);
         assert_eq!(r.fabric_utilization(), 0.0);
         assert!(!format!("{r}").is_empty());

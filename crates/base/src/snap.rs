@@ -238,10 +238,7 @@ impl<'a> Reader<'a> {
         if found != expected {
             return Err(SnapError::BadChecksum { found, expected });
         }
-        Ok(Reader {
-            data: body,
-            pos: 6,
-        })
+        Ok(Reader { data: body, pos: 6 })
     }
 
     fn take(&mut self, n: usize) -> Result<&'a [u8], SnapError> {
@@ -286,7 +283,9 @@ impl<'a> Reader<'a> {
     ///
     /// [`SnapError::Truncated`] if the image ends first.
     pub fn u16(&mut self) -> Result<u16, SnapError> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().expect("2 bytes")))
+        Ok(u16::from_le_bytes(
+            self.take(2)?.try_into().expect("2 bytes"),
+        ))
     }
 
     /// Reads a little-endian `u32`.
@@ -295,7 +294,9 @@ impl<'a> Reader<'a> {
     ///
     /// [`SnapError::Truncated`] if the image ends first.
     pub fn u32(&mut self) -> Result<u32, SnapError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4 bytes")))
+        Ok(u32::from_le_bytes(
+            self.take(4)?.try_into().expect("4 bytes"),
+        ))
     }
 
     /// Reads a little-endian `u64`.
@@ -304,7 +305,9 @@ impl<'a> Reader<'a> {
     ///
     /// [`SnapError::Truncated`] if the image ends first.
     pub fn u64(&mut self) -> Result<u64, SnapError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8 bytes")))
+        Ok(u64::from_le_bytes(
+            self.take(8)?.try_into().expect("8 bytes"),
+        ))
     }
 
     /// Reads a sequence length written by [`Writer::len`].

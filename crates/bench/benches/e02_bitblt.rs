@@ -16,6 +16,8 @@ fn main() {
             h::bitblt_mbps(kind, shift)
         );
     }
-    bench("e02/scroll_60x80", || h::bitblt_mbps(BlitKind::ShiftedCopy, 5));
+    bench("e02/scroll_60x80", || {
+        h::bitblt_mbps(BlitKind::ShiftedCopy, 5)
+    });
     bench("e02/merge_60x80", || h::bitblt_mbps(BlitKind::Merge, 5));
 }

@@ -11,5 +11,7 @@ fn main() {
     let g3 = h::fastio_share(TaskingMode::NotifyGrain3) * 100.0;
     println!("E5 | 2-cycle grain: {g2:.1}% (paper 25%)");
     println!("E5 | 3-cycle notify: {g3:.1}% (paper 37.5%)");
-    bench("e05/grain3_share", || h::fastio_share(TaskingMode::NotifyGrain3));
+    bench("e05/grain3_share", || {
+        h::fastio_share(TaskingMode::NotifyGrain3)
+    });
 }

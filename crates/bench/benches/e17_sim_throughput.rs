@@ -160,9 +160,8 @@ fn main() {
         "E17 | workstation: always_tick {ws_naive:.2} Mcycles/s, scheduled {ws_sched:.2} Mcycles/s, speedup x{ws_speedup:.2} (fib(15) = {fib})"
     );
 
-    let ([cl_naive, cl_sched], responses) = measure_modes(size.samples, |mode| {
-        run_cluster(size.cluster_epochs, mode)
-    });
+    let ([cl_naive, cl_sched], responses) =
+        measure_modes(size.samples, |mode| run_cluster(size.cluster_epochs, mode));
     let cl_speedup = cl_sched / cl_naive.max(1e-9);
     println!(
         "E17 | cluster8: always_tick {cl_naive:.2} Mcycles/s, scheduled {cl_sched:.2} Mcycles/s, speedup x{cl_speedup:.2} ({responses} responses)"
@@ -177,8 +176,8 @@ fn main() {
     }
 
     if let Some(path) = &check_path {
-        let committed = std::fs::read_to_string(path)
-            .unwrap_or_else(|e| panic!("--check {path}: {e}"));
+        let committed =
+            std::fs::read_to_string(path).unwrap_or_else(|e| panic!("--check {path}: {e}"));
         // Absolute Mcycles/s is not comparable across hosts (or even across
         // invocations on a noisy shared runner — we have measured ±2×), so
         // the hard gate is on the *in-process* scheduled-vs-naive speedup
@@ -190,8 +189,18 @@ fn main() {
         }
         let mut failed = false;
         for (key, measured, abs_key, abs) in [
-            ("workstation_speedup", ws_speedup, "workstation_scheduled_mcps", ws_sched),
-            ("cluster8_speedup", cl_speedup, "cluster8_scheduled_mcps", cl_sched),
+            (
+                "workstation_speedup",
+                ws_speedup,
+                "workstation_scheduled_mcps",
+                ws_sched,
+            ),
+            (
+                "cluster8_speedup",
+                cl_speedup,
+                "cluster8_scheduled_mcps",
+                cl_sched,
+            ),
         ] {
             let baseline = json_number(&committed, key)
                 .unwrap_or_else(|| panic!("--check {path}: missing key {key}"));

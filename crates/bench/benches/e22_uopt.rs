@@ -58,11 +58,7 @@ struct Class {
 }
 
 impl Class {
-    fn measure(
-        name: &'static str,
-        base_machine: Dorado,
-        opt_machine: Dorado,
-    ) -> Class {
+    fn measure(name: &'static str, base_machine: Dorado, opt_machine: Dorado) -> Class {
         let (base, check_b) = run_halted(name, base_machine);
         let (opt, check_o) = run_halted(name, opt_machine);
         assert_eq!(check_b, check_o, "{name}: architectural end state diverged");

@@ -60,21 +60,38 @@ fn main() {
         },
         16,
     );
-    println!("| cons+car | — | — | 10–20 each | {:.1} (pair) | — |", lisp_car);
+    println!(
+        "| cons+car | — | — | 10–20 each | {:.1} (pair) | — |",
+        lisp_car
+    );
     let mesa_call = h::mesa_call_cycles();
     let lisp_call = h::lisp_call_cycles();
     let bcpl_call = h::bcpl_call_cycles();
-    println!("| call+return (cycles) | ≈50 | {mesa_call:.0} | ≈200 | {lisp_call:.0} | {bcpl_call:.0} |");
+    println!(
+        "| call+return (cycles) | ≈50 | {mesa_call:.0} | ≈200 | {lisp_call:.0} | {bcpl_call:.0} |"
+    );
     println!();
 
     // --- E2 -------------------------------------------------------------
     println!("## E2 — BitBlt bandwidth (§7)\n");
     println!("| Operation | Paper | Measured |");
     println!("|---|---|---|");
-    println!("| erase (fill) | ≥ simple class | {:.1} Mbit/s |", h::bitblt_mbps(BlitKind::Fill, 0));
-    println!("| scroll (shifted copy) | 34 Mbit/s | {:.1} Mbit/s |", h::bitblt_mbps(BlitKind::ShiftedCopy, 5));
-    println!("| aligned copy | ≈34 Mbit/s class | {:.1} Mbit/s |", h::bitblt_mbps(BlitKind::Copy, 0));
-    println!("| src⊕dst∧filter (merge) | 24 Mbit/s | {:.1} Mbit/s |", h::bitblt_mbps(BlitKind::Merge, 5));
+    println!(
+        "| erase (fill) | ≥ simple class | {:.1} Mbit/s |",
+        h::bitblt_mbps(BlitKind::Fill, 0)
+    );
+    println!(
+        "| scroll (shifted copy) | 34 Mbit/s | {:.1} Mbit/s |",
+        h::bitblt_mbps(BlitKind::ShiftedCopy, 5)
+    );
+    println!(
+        "| aligned copy | ≈34 Mbit/s class | {:.1} Mbit/s |",
+        h::bitblt_mbps(BlitKind::Copy, 0)
+    );
+    println!(
+        "| src⊕dst∧filter (merge) | 24 Mbit/s | {:.1} Mbit/s |",
+        h::bitblt_mbps(BlitKind::Merge, 5)
+    );
     println!();
 
     // --- E3 -------------------------------------------------------------
@@ -83,7 +100,11 @@ fn main() {
     println!("|---|---|---|");
     for mbps in [5.0, 10.0, 20.0, 40.0, 80.0] {
         let share = h::slow_io_share(mbps) * 100.0;
-        let paper = if (mbps - 10.0).abs() < 0.1 { "5%" } else { "∝ rate" };
+        let paper = if (mbps - 10.0).abs() < 0.1 {
+            "5%"
+        } else {
+            "∝ rate"
+        };
         println!("| {mbps:.0} Mbit/s | {paper} | {share:.1}% |");
     }
     println!();

@@ -20,7 +20,9 @@ use dorado_emu::lisp::LispAsm;
 use dorado_emu::mesa::MesaAsm;
 use dorado_emu::suite::{build_bcpl, build_lisp, build_mesa};
 use dorado_emu::{bcpl::BcplAsm, mesa, SuiteBuilder};
-use dorado_io::{synth::SynthPath, DiskController, DisplayController, NetworkController, RateDevice};
+use dorado_io::{
+    synth::SynthPath, DiskController, DisplayController, NetworkController, RateDevice,
+};
 
 /// The production clock.
 pub fn clock() -> ClockConfig {
@@ -272,14 +274,31 @@ pub fn bypass_cycles() -> (u64, u64) {
         a.emit(Inst::new().ff(FfOp::LoadCountImm(16)).goto_("top"));
         a.pair_align();
         a.label("top");
-        a.emit(Inst::new().a(ASel::T).alu(AluOp::INC_A).load_t().goto_("w1"));
+        a.emit(
+            Inst::new()
+                .a(ASel::T)
+                .alu(AluOp::INC_A)
+                .load_t()
+                .goto_("w1"),
+        );
         a.label("exit");
         a.emit(Inst::new().ff_halt().goto_("exit"));
         a.label("w1");
         a.emit(Inst::new().rm(1).a(ASel::T).alu(AluOp::A).load_rm());
         a.emit(Inst::new().rm(1).alu(AluOp::INC_A).load_rm());
-        a.emit(Inst::new().rm(1).b(dorado_asm::BSel::Rm).a(ASel::T).alu(AluOp::ADD).load_t());
-        a.emit(Inst::new().ff(FfOp::DecCount).branch(Cond::CntZero, "exit", "top"));
+        a.emit(
+            Inst::new()
+                .rm(1)
+                .b(dorado_asm::BSel::Rm)
+                .a(ASel::T)
+                .alu(AluOp::ADD)
+                .load_t(),
+        );
+        a.emit(
+            Inst::new()
+                .ff(FfOp::DecCount)
+                .branch(Cond::CntZero, "exit", "top"),
+        );
         a.program()
     };
     let with = {
@@ -385,7 +404,9 @@ pub fn json_number(text: &str, key: &str) -> Option<f64> {
     let rest = &text[text.find(&needle)? + needle.len()..];
     let rest = rest.trim_start().strip_prefix(':')?.trim_start();
     let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e' || c == 'E' || c == '+'))
+        .find(|c: char| {
+            !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e' || c == 'E' || c == '+')
+        })
         .unwrap_or(rest.len());
     rest[..end].parse().ok()
 }
@@ -469,7 +490,8 @@ pub fn workstation_machine() -> Dorado {
     mesa::configure_ifu(&mut m);
     mesa::init_runtime(&mut m);
     mesa::load_program(&mut m, &program);
-    m.memory_mut().set_base_reg(BaseRegId::new(BR_DISPLAY), 0x2000);
+    m.memory_mut()
+        .set_base_reg(BaseRegId::new(BR_DISPLAY), 0x2000);
     m.memory_mut().set_base_reg(BaseRegId::new(BR_DISK), 0x3000);
     m.memory_mut().set_base_reg(BaseRegId::new(BR_NET), 0x3800);
     for i in 0..0x1000u32 {

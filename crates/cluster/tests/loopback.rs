@@ -79,7 +79,10 @@ fn packet_crosses_fabric_word_for_word_at_line_rate() {
 fn cross_wired_pair_ping_pong() {
     let cfg = FabricConfig::default();
     let fabric = Fabric::new(&cfg, vec![0x100, 0x101]);
-    let mut nets = [NetworkController::new(task()), NetworkController::new(task())];
+    let mut nets = [
+        NetworkController::new(task()),
+        NetworkController::new(task()),
+    ];
 
     // A host-level echo: whatever lands at a port is sent back swapped.
     nets[0].output(0, 0x101);

@@ -232,8 +232,9 @@ impl Snapshot for DataSection {
             *mb = BaseRegId::new(r.u8()?);
         }
         for f in &mut self.alufm {
-            *f = AluFunction::decode(r.u8()?)
-                .map_err(|_| SnapError::Invalid { what: "alufm entry" })?;
+            *f = AluFunction::decode(r.u8()?).map_err(|_| SnapError::Invalid {
+                what: "alufm entry",
+            })?;
         }
         r.words(&mut self.ioaddress)?;
         for f in &mut self.flags {

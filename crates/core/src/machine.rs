@@ -22,10 +22,10 @@ use dorado_asm::{
     Microword, PlacedProgram, ShiftCtl,
 };
 use dorado_base::snap::{Reader, SnapError, Snapshot, Writer};
+pub use dorado_base::HoldCause;
 use dorado_base::{
     ClockConfig, MicroAddr, Report, Stats, TaskId, Word, MICROSTORE_SIZE, NUM_TASKS, PAGE_SIZE,
 };
-pub use dorado_base::HoldCause;
 use dorado_ifu::Ifu;
 use dorado_io::{Device, IoSystem};
 use dorado_mem::{MemConfig, MemorySystem};
@@ -156,7 +156,10 @@ impl WbQueue {
         if self.slots[0].is_none() {
             self.slots[0] = Some(write);
         } else {
-            debug_assert!(self.slots[1].is_none(), "at most two writes per instruction");
+            debug_assert!(
+                self.slots[1].is_none(),
+                "at most two writes per instruction"
+            );
             self.slots[1] = Some(write);
         }
     }
@@ -280,10 +283,8 @@ impl DoradoBuilder {
             store.push(w);
             decoded.push(d);
         }
-        let labels: std::collections::HashMap<String, MicroAddr> = placed
-            .labels()
-            .map(|(k, v)| (k.to_string(), v))
-            .collect();
+        let labels: std::collections::HashMap<String, MicroAddr> =
+            placed.labels().map(|(k, v)| (k.to_string(), v)).collect();
 
         let mut io = IoSystem::new();
         for (dev, base, regs) in self.devices {
@@ -495,9 +496,8 @@ impl Dorado {
             } else {
                 CacheOutcome::Miss
             };
-            let bypass = held.is_none()
-                && self.bypass
-                && (inst.load.loads_t() || inst.load.loads_rm());
+            let bypass =
+                held.is_none() && self.bypass && (inst.load.loads_t() || inst.load.loads_rm());
             tracer.record(TraceEvent {
                 cycle,
                 task,
@@ -533,10 +533,7 @@ impl Dorado {
                 }
                 loop {
                     let ev = self.step();
-                    if ev.held.is_some()
-                        || self.halted
-                        || self.stats.cycles - start >= max_cycles
-                    {
+                    if ev.held.is_some() || self.halted || self.stats.cycles - start >= max_cycles {
                         break;
                     }
                 }
@@ -557,8 +554,7 @@ impl Dorado {
                     task: self.control.this_task,
                 };
             }
-            if self.stats.cycles > start && self.breakpoints.contains(&self.control.this_pc)
-            {
+            if self.stats.cycles > start && self.breakpoints.contains(&self.control.this_pc) {
                 return RunOutcome::Breakpoint {
                     at: self.control.this_pc,
                     task: self.control.this_task,
@@ -613,8 +609,7 @@ impl Dorado {
 
     fn check_hold(&mut self, inst: &DecodedInst, task: TaskId) -> Option<HoldCause> {
         // MEMDATA consumers (B bus or the shifter's MEMDATA mask).
-        let uses_memdata =
-            inst.bsel == BSel::MemData || inst.ff_op == Some(FfOp::ShOutM);
+        let uses_memdata = inst.bsel == BSel::MemData || inst.ff_op == Some(FfOp::ShOutM);
         if uses_memdata && !self.mem.memdata_ready(task) {
             return Some(HoldCause::MemData);
         }
@@ -808,9 +803,7 @@ impl Dorado {
                 FfOp::LoadShiftCtl => self.dp.shiftctl = ShiftCtl::from_raw(b),
                 FfOp::LoadQ => self.dp.q = b,
                 FfOp::LoadIoAddress => self.dp.ioaddress[task.index()] = b,
-                FfOp::LoadLink => {
-                    self.control.link[task.index()] = MicroAddr::new(b)
-                }
+                FfOp::LoadLink => self.control.link[task.index()] = MicroAddr::new(b),
                 FfOp::DecCount => self.dp.count = self.dp.count.wrapping_sub(1),
                 FfOp::ResetStackError => self.dp.stack_error = false,
                 FfOp::IfuLoadPc => {
@@ -833,8 +826,7 @@ impl Dorado {
                     } else {
                         0
                     };
-                    result =
-                        shifter_output(self.dp.shiftctl, rm_or_stack, t_val, md, mode);
+                    result = shifter_output(self.dp.shiftctl, rm_or_stack, t_val, md, mode);
                 }
                 FfOp::LoadAluFm(n) => {
                     if let Ok(func) = AluFunction::decode((b & 0x3f) as u8) {
@@ -1216,7 +1208,9 @@ impl Snapshot for Dorado {
                 1 => {
                     let i = r.u64()? as usize;
                     if i >= self.dp.rm.len() {
-                        return Err(SnapError::Invalid { what: "wb rm index" });
+                        return Err(SnapError::Invalid {
+                            what: "wb rm index",
+                        });
                     }
                     WbWrite::Rm(i, r.u16()?)
                 }

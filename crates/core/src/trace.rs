@@ -279,7 +279,10 @@ mod tests {
             t.record(event(c));
         }
         let taken = t.take();
-        assert_eq!(taken.iter().map(|e| e.cycle).collect::<Vec<_>>(), vec![1, 2]);
+        assert_eq!(
+            taken.iter().map(|e| e.cycle).collect::<Vec<_>>(),
+            vec![1, 2]
+        );
         assert!(t.is_empty());
         t.record(event(9));
         assert_eq!(t.events().next().unwrap().cycle, 9);
@@ -298,7 +301,11 @@ mod tests {
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), 2);
         assert!(lines[0].starts_with('{') && lines[0].ends_with('}'));
-        assert!(lines[0].contains("\"held\":\"ifu-dispatch\""), "{}", lines[0]);
+        assert!(
+            lines[0].contains("\"held\":\"ifu-dispatch\""),
+            "{}",
+            lines[0]
+        );
         assert!(lines[0].contains("\"cache\":\"miss\""), "{}", lines[0]);
         assert!(lines[1].contains("\"held\":null"), "{}", lines[1]);
         let mut sink = Vec::new();

@@ -1,7 +1,7 @@
 //! Machine-level tests: microcode programs executed end to end on the
 //! full processor + memory + IFU + I/O model.
 
-use dorado_asm::{ASel, Assembler, AluOp, BSel, Cond, FfOp, Inst};
+use dorado_asm::{ASel, AluOp, Assembler, BSel, Cond, FfOp, Inst};
 use dorado_base::{MicroAddr, TaskId, VirtAddr, Word};
 use dorado_core::{Dorado, DoradoBuilder, RunOutcome, TaskingMode};
 use dorado_io::{synth::SynthPath, RateDevice};
@@ -47,7 +47,11 @@ fn counted_loop_has_exact_cycle_count() {
         a.label("exit");
         a.emit(nop().ff_halt().goto_("exit"));
         a.label("body");
-        a.emit(nop().ff(FfOp::DecCount).branch(Cond::CntZero, "exit", "top"));
+        a.emit(
+            nop()
+                .ff(FfOp::DecCount)
+                .branch(Cond::CntZero, "exit", "top"),
+        );
     });
     let out = m.run(1000);
     // 1 init + 10 × (inc, dec/branch) + 1 halt = 22 cycles.
@@ -133,11 +137,14 @@ fn memory_store_and_increment_in_one_instruction() {
         a.label("exit");
         a.emit(nop().ff_halt().goto_("exit"));
         a.label("body");
-        a.emit(nop().a(ASel::T).alu(AluOp::INC_A).load_t().ff(FfOp::DecCount).branch(
-            Cond::CntZero,
-            "exit",
-            "top",
-        ));
+        a.emit(
+            nop()
+                .a(ASel::T)
+                .alu(AluOp::INC_A)
+                .load_t()
+                .ff(FfOp::DecCount)
+                .branch(Cond::CntZero, "exit", "top"),
+        );
     });
     m.set_rm(2, 0x300);
     m.set_t(T0, 7);
@@ -159,7 +166,7 @@ fn stack_push_pop_microcode() {
         // Push two constants, pop them in reverse order into RM.
         a.emit(nop().stack(1).const16(0x11).alu(AluOp::B).load_rm()); // push 0x11
         a.emit(nop().stack(1).const16(0x22).alu(AluOp::B).load_rm()); // push 0x22
-        // Pop: read TOS onto A, decrement pointer.
+                                                                      // Pop: read TOS onto A, decrement pointer.
         a.emit(nop().stack(-1).alu(AluOp::A).load_t()); // T ← 0x22
         a.emit(nop().rm(5).a(ASel::T).alu(AluOp::A).load_rm()); // RM[5] ← T
         a.emit(nop().stack(-1).alu(AluOp::A).load_t()); // T ← 0x11
@@ -196,7 +203,14 @@ fn stack_underflow_sets_error_condition() {
 fn multiply_with_mulstep_loop() {
     // 16 MulSteps: T (accumulator) and Q end up holding a × b.
     let mut m = build(|a| {
-        a.emit(nop().rm(0).alu(AluOp::B).b(BSel::T).ff(FfOp::LoadQ).note("Q ← multiplier"));
+        a.emit(
+            nop()
+                .rm(0)
+                .alu(AluOp::B)
+                .b(BSel::T)
+                .ff(FfOp::LoadQ)
+                .note("Q ← multiplier"),
+        );
         a.emit(nop().alu(AluOp::ZERO).load_t().ff(FfOp::LoadCountImm(16)));
         a.pair_align();
         a.label("mul");
@@ -212,7 +226,11 @@ fn multiply_with_mulstep_loop() {
         a.label("done");
         a.emit(nop().ff_halt().goto_("done"));
         a.label("step");
-        a.emit(nop().ff(FfOp::DecCount).branch(Cond::CntZero, "done", "mul"));
+        a.emit(
+            nop()
+                .ff(FfOp::DecCount)
+                .branch(Cond::CntZero, "done", "mul"),
+        );
     });
     let x: Word = 0xbeef;
     let y: Word = 0x1234;
@@ -244,7 +262,11 @@ fn divide_with_divstep_loop() {
         a.label("done");
         a.emit(nop().ff_halt().goto_("done"));
         a.label("step");
-        a.emit(nop().ff(FfOp::DecCount).branch(Cond::CntZero, "done", "div"));
+        a.emit(
+            nop()
+                .ff(FfOp::DecCount)
+                .branch(Cond::CntZero, "done", "div"),
+        );
     });
     let dividend: u32 = 0x0012_3456;
     let divisor: Word = 0x0765;
@@ -265,7 +287,13 @@ fn shifter_field_extract_microcode() {
         a.load_t_const(ctl); // T ← control word (1-2 instructions)
         a.emit(nop().b(BSel::T).ff(FfOp::LoadShiftCtl));
         // RM[3] into both shifter inputs, extract bits 5..11 into T.
-        a.emit(nop().rm(3).b(BSel::Rm).ff(FfOp::LoadQ).note("stage r to q? no"));
+        a.emit(
+            nop()
+                .rm(3)
+                .b(BSel::Rm)
+                .ff(FfOp::LoadQ)
+                .note("stage r to q? no"),
+        );
         a.emit(nop().rm(3).a(ASel::Rm).alu(AluOp::A).load_t()); // T ← RM[3]
         a.emit(nop().rm(3).ff(FfOp::ShOutZ).load_t());
         a.label("fin");
@@ -291,7 +319,14 @@ fn dispatch8_selects_by_b_bus() {
         }
         for i in 0..8u16 {
             a.label(format!("e{i}"));
-            a.emit(nop().rm(9).const16(0x10 + i).alu(AluOp::B).load_rm().goto_(format!("h{i}")));
+            a.emit(
+                nop()
+                    .rm(9)
+                    .const16(0x10 + i)
+                    .alu(AluOp::B)
+                    .load_rm()
+                    .goto_(format!("h{i}")),
+            );
             a.label(format!("h{i}"));
             a.emit(nop().ff_halt().goto_(format!("h{i}")));
         }
@@ -384,7 +419,15 @@ fn hold_cycles_can_be_stolen_by_other_tasks() {
     a.label("emu");
     a.emit(nop().rm(1).a(ASel::FetchR)); // start fetch
     a.emit(nop().b(BSel::MemData).alu(AluOp::B).load_t()); // held on miss
-    a.emit(nop().rm(1).a(ASel::Rm).const16(16).alu(AluOp::ADD).load_rm().goto_("emu"));
+    a.emit(
+        nop()
+            .rm(1)
+            .a(ASel::Rm)
+            .const16(16)
+            .alu(AluOp::ADD)
+            .load_rm()
+            .goto_("emu"),
+    );
     a.label("io");
     a.emit(nop().ff_input().load_rm().rm(8));
     a.emit(nop().io_block().goto_("io"));
@@ -463,7 +506,14 @@ fn ifu_dispatch_executes_macroinstructions() {
     a.label("spin");
     a.emit(nop().goto_("spin")); // address 0: trap for unknown opcodes
     a.label("op_add");
-    a.emit(nop().a(ASel::IfuData).b(BSel::T).alu(AluOp::ADD).load_t().ifu_jump());
+    a.emit(
+        nop()
+            .a(ASel::IfuData)
+            .b(BSel::T)
+            .alu(AluOp::ADD)
+            .load_t()
+            .ifu_jump(),
+    );
     a.label("op_halt");
     a.emit(nop().ff_halt().goto_("op_halt"));
     a.label("boot");
@@ -481,12 +531,14 @@ fn ifu_dispatch_executes_macroinstructions() {
         0x01,
         DecodeEntry::new(add_entry).with_operand(OperandKind::Byte),
     );
-    m.ifu_mut().set_decode_entry(0xff, DecodeEntry::new(halt_entry));
+    m.ifu_mut()
+        .set_decode_entry(0xff, DecodeEntry::new(halt_entry));
     // Code: ADD 3; ADD 4; ADD 10; HALT.
     let code: &[u8] = &[0x01, 3, 0x01, 4, 0x01, 10, 0xff, 0];
     for (i, pair) in code.chunks(2).enumerate() {
         let w = (Word::from(pair[0]) << 8) | Word::from(pair[1]);
-        m.memory_mut().write_virt(VirtAddr::new(0x800 + i as u32), w);
+        m.memory_mut()
+            .write_virt(VirtAddr::new(0x800 + i as u32), w);
     }
     m.ifu_mut().set_code_base(VirtAddr::new(0x800));
     let out = m.run(10_000);

@@ -2,7 +2,7 @@
 //! remapping, dispatch-256, breakpoints, microstore rewriting, and
 //! multi-device priority chains.
 
-use dorado_asm::{ASel, Assembler, AluFunction, AluOp, BSel, FfOp, Inst};
+use dorado_asm::{ASel, AluFunction, AluOp, Assembler, BSel, FfOp, Inst};
 use dorado_base::{MicroAddr, TaskId};
 use dorado_core::{Console, Dorado, DoradoBuilder, RunOutcome};
 
@@ -63,7 +63,12 @@ fn readtpc_observes_another_task() {
 fn alufm_remapping_changes_an_opcode() {
     // Microcode rewrites ALUFM entry 0 from Add to Xor (§6.3.3).
     let mut m = build(|a| {
-        a.emit(nop().const16(AluFunction::Xor.raw().into()).alu(AluOp::B).load_t());
+        a.emit(
+            nop()
+                .const16(AluFunction::Xor.raw().into())
+                .alu(AluOp::B)
+                .load_t(),
+        );
         a.emit(nop().b(BSel::T).ff(FfOp::LoadAluFm(0)));
         // Now "ADD" (index 0) computes XOR.
         a.emit(nop().rm(1).b(BSel::Rm).a(ASel::T).alu(AluOp::ADD).load_t());
@@ -151,7 +156,10 @@ fn resuming_runs_over_a_breakpoint_that_is_still_set() {
     a.emit(nop().ff_halt().goto_("fin"));
     let placed = a.place().unwrap();
     let bp = placed.address_of("bp").unwrap();
-    let mut m = DoradoBuilder::new().microcode(placed.clone()).build().unwrap();
+    let mut m = DoradoBuilder::new()
+        .microcode(placed.clone())
+        .build()
+        .unwrap();
     m.add_breakpoint(bp);
 
     let out = m.run(100);
@@ -313,7 +321,14 @@ fn count_register_wraps_and_tests() {
 fn q_register_shifts_during_divide() {
     // DivStep shifts quotient bits into Q even standalone.
     let mut m = build(|a| {
-        a.emit(nop().rm(1).a(ASel::T).b(BSel::Rm).ff(FfOp::DivStep).load_t());
+        a.emit(
+            nop()
+                .rm(1)
+                .a(ASel::T)
+                .b(BSel::Rm)
+                .ff(FfOp::DivStep)
+                .load_t(),
+        );
         a.label("fin");
         a.emit(nop().ff_halt().goto_("fin"));
     });

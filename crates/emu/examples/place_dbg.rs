@@ -1,5 +1,7 @@
 use dorado_asm::*;
-fn nop() -> Inst { Inst::new() }
+fn nop() -> Inst {
+    Inst::new()
+}
 fn try_place(name: &str, f: impl FnOnce(&mut Assembler)) {
     let mut a = Assembler::new();
     a.label("trap");

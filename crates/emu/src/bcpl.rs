@@ -11,7 +11,7 @@
 
 use std::collections::HashMap;
 
-use dorado_asm::{ASel, Assembler, AluOp, BSel, Cond, FfOp, Inst};
+use dorado_asm::{ASel, AluOp, Assembler, BSel, Cond, FfOp, Inst};
 use dorado_base::Word;
 use dorado_core::Dorado;
 use dorado_ifu::{DecodeEntry, OperandKind};
@@ -58,12 +58,26 @@ pub fn emit_microcode(a: &mut Assembler) {
 
     // LIT / LITW: push the operand — one microinstruction.
     a.label("bcpl:lit");
-    a.emit(nop().a(ASel::IfuData).alu(AluOp::A).stack(1).load_rm().ifu_jump());
+    a.emit(
+        nop()
+            .a(ASel::IfuData)
+            .alu(AluOp::A)
+            .stack(1)
+            .load_rm()
+            .ifu_jump(),
+    );
 
     // LV n: fetch vector cell, push — two microinstructions.
     a.label("bcpl:lv");
     a.emit(nop().a(ASel::FetchIfu));
-    a.emit(nop().b(BSel::MemData).alu(AluOp::B).stack(1).load_rm().ifu_jump());
+    a.emit(
+        nop()
+            .b(BSel::MemData)
+            .alu(AluOp::B)
+            .stack(1)
+            .load_rm()
+            .ifu_jump(),
+    );
 
     // SV n: store the popped top at the operand cell — one microinstruction.
     a.label("bcpl:sv");
@@ -72,16 +86,37 @@ pub fn emit_microcode(a: &mut Assembler) {
     // ADD / SUB: pop, combine in place.
     a.label("bcpl:addop");
     a.emit(nop().stack(-1).alu(AluOp::A).load_t());
-    a.emit(nop().stack(0).b(BSel::T).alu(AluOp::ADD).load_rm().ifu_jump());
+    a.emit(
+        nop()
+            .stack(0)
+            .b(BSel::T)
+            .alu(AluOp::ADD)
+            .load_rm()
+            .ifu_jump(),
+    );
     a.label("bcpl:subop");
     a.emit(nop().stack(-1).alu(AluOp::A).load_t());
-    a.emit(nop().stack(0).b(BSel::T).alu(AluOp::SUB).load_rm().ifu_jump());
+    a.emit(
+        nop()
+            .stack(0)
+            .b(BSel::T)
+            .alu(AluOp::SUB)
+            .load_rm()
+            .ifu_jump(),
+    );
 
     // JMP / JNZ.
     a.label("bcpl:jmp");
     a.emit(nop().rm(R_TMP).ff(FfOp::IfuReadPc).load_rm());
     a.label("bcpl:jtake");
-    a.emit(nop().rm(R_TMP).a(ASel::IfuData).b(BSel::Rm).alu(AluOp::ADD).load_rm());
+    a.emit(
+        nop()
+            .rm(R_TMP)
+            .a(ASel::IfuData)
+            .b(BSel::Rm)
+            .alu(AluOp::ADD)
+            .load_rm(),
+    );
     a.emit(nop().rm(R_TMP).b(BSel::Rm).ff(FfOp::IfuLoadPc));
     a.emit(nop().ifu_jump());
 
@@ -274,7 +309,8 @@ impl BcplAsm {
             let target = *self
                 .labels
                 .get(&label)
-                .ok_or_else(|| format!("undefined label `{label}`"))? as i64;
+                .ok_or_else(|| format!("undefined label `{label}`"))?
+                as i64;
             if abs {
                 let v = u16::try_from(target).map_err(|_| "label out of range".to_string())?;
                 self.bytes[at] = (v >> 8) as u8;

@@ -46,7 +46,7 @@
 //! | 8 | fill value (`fill`) / merged-source scratch (`merge`) |
 //! | 9 | filter word (`merge`) |
 
-use dorado_asm::{ASel, Assembler, AluOp, BSel, Cond, FfOp, Inst, ShiftCtl};
+use dorado_asm::{ASel, AluOp, Assembler, BSel, Cond, FfOp, Inst, ShiftCtl};
 use dorado_base::{VirtAddr, Word};
 use dorado_core::Dorado;
 
@@ -187,7 +187,7 @@ pub fn emit_microcode(a: &mut Assembler) {
     emit_entry(a, "bitblt:fill");
     a.label("bitblt:fill.row");
     a.emit(nop().rm(8).alu(AluOp::A).load_t()); // T ← fill value (the row
-    // advance clobbers T, so reload per row)
+                                                // advance clobbers T, so reload per row)
     a.emit(nop().rm(2).b(BSel::Rm).ff(FfOp::LoadCount));
     a.pair_align();
     a.label("bitblt:fill.w");
@@ -203,7 +203,11 @@ pub fn emit_microcode(a: &mut Assembler) {
     a.label("bitblt:fill.nx");
     a.emit(nop().goto_("bitblt:advF"));
     a.label("bitblt:fill.dec");
-    a.emit(nop().ff(FfOp::DecCount).branch(Cond::CntZero, "bitblt:fill.nx", "bitblt:fill.w"));
+    a.emit(
+        nop()
+            .ff(FfOp::DecCount)
+            .branch(Cond::CntZero, "bitblt:fill.nx", "bitblt:fill.w"),
+    );
     emit_row_advance(a, "F", "bitblt:fill.row");
 
     // --- copy: word-aligned dst ← src, 4 instructions per word ----------
@@ -212,13 +216,31 @@ pub fn emit_microcode(a: &mut Assembler) {
     a.emit(nop().rm(2).b(BSel::Rm).ff(FfOp::LoadCount));
     a.pair_align();
     a.label("bitblt:copy.w");
-    a.emit(nop().rm(0).a(ASel::FetchR).alu(AluOp::INC_A).load_rm().goto_("bitblt:copy.st"));
+    a.emit(
+        nop()
+            .rm(0)
+            .a(ASel::FetchR)
+            .alu(AluOp::INC_A)
+            .load_rm()
+            .goto_("bitblt:copy.st"),
+    );
     a.label("bitblt:copy.nx");
     a.emit(nop().goto_("bitblt:advC"));
     a.label("bitblt:copy.st");
     a.emit(nop().b(BSel::MemData).alu(AluOp::B).load_t());
-    a.emit(nop().rm(1).a(ASel::StoreR).b(BSel::T).alu(AluOp::INC_A).load_rm());
-    a.emit(nop().ff(FfOp::DecCount).branch(Cond::CntZero, "bitblt:copy.nx", "bitblt:copy.w"));
+    a.emit(
+        nop()
+            .rm(1)
+            .a(ASel::StoreR)
+            .b(BSel::T)
+            .alu(AluOp::INC_A)
+            .load_rm(),
+    );
+    a.emit(
+        nop()
+            .ff(FfOp::DecCount)
+            .branch(Cond::CntZero, "bitblt:copy.nx", "bitblt:copy.w"),
+    );
     emit_row_advance(a, "C", "bitblt:copy.row");
 
     // --- scopy: shifted copy (scrolling), 7 instructions per word -------
@@ -231,16 +253,34 @@ pub fn emit_microcode(a: &mut Assembler) {
     a.emit(nop().b(BSel::MemData).alu(AluOp::B).load_t());
     a.pair_align();
     a.label("bitblt:scopy.w");
-    a.emit(nop().rm(0).a(ASel::FetchR).alu(AluOp::INC_A).load_rm().goto_("bitblt:scopy.sv"));
+    a.emit(
+        nop()
+            .rm(0)
+            .a(ASel::FetchR)
+            .alu(AluOp::INC_A)
+            .load_rm()
+            .goto_("bitblt:scopy.sv"),
+    );
     a.label("bitblt:scopy.nx");
     a.emit(nop().goto_("bitblt:advS"));
     a.label("bitblt:scopy.sv");
     a.emit(nop().rm(6).a(ASel::T).alu(AluOp::A).load_rm()); // prev ← T
     a.emit(nop().b(BSel::MemData).alu(AluOp::B).load_t()); // T ← cur
     a.emit(nop().rm(6).ff(FfOp::ShOut).load_t()); // T ← merged(prev,cur)
-    a.emit(nop().rm(1).a(ASel::StoreR).b(BSel::T).alu(AluOp::INC_A).load_rm());
+    a.emit(
+        nop()
+            .rm(1)
+            .a(ASel::StoreR)
+            .b(BSel::T)
+            .alu(AluOp::INC_A)
+            .load_rm(),
+    );
     a.emit(nop().b(BSel::MemData).alu(AluOp::B).load_t()); // T ← cur again
-    a.emit(nop().ff(FfOp::DecCount).branch(Cond::CntZero, "bitblt:scopy.nx", "bitblt:scopy.w"));
+    a.emit(
+        nop()
+            .ff(FfOp::DecCount)
+            .branch(Cond::CntZero, "bitblt:scopy.nx", "bitblt:scopy.w"),
+    );
     emit_row_advance(a, "S", "bitblt:scopy.row");
 
     // --- merge: dst ← (shifted src XOR dst) AND filter, ~12/word --------
@@ -252,7 +292,14 @@ pub fn emit_microcode(a: &mut Assembler) {
     a.emit(nop().b(BSel::MemData).alu(AluOp::B).load_t());
     a.pair_align();
     a.label("bitblt:merge.w");
-    a.emit(nop().rm(0).a(ASel::FetchR).alu(AluOp::INC_A).load_rm().goto_("bitblt:merge.sv"));
+    a.emit(
+        nop()
+            .rm(0)
+            .a(ASel::FetchR)
+            .alu(AluOp::INC_A)
+            .load_rm()
+            .goto_("bitblt:merge.sv"),
+    );
     a.label("bitblt:merge.nx");
     a.emit(nop().goto_("bitblt:advM"));
     a.label("bitblt:merge.sv");
@@ -265,9 +312,20 @@ pub fn emit_microcode(a: &mut Assembler) {
     a.emit(nop().b(BSel::MemData).alu(AluOp::B).load_t()); // T ← dst
     a.emit(nop().rm(8).b(BSel::T).alu(AluOp::XOR).load_t()); // T ← src⊕dst
     a.emit(nop().rm(9).b(BSel::T).alu(AluOp::AND).load_t()); // T ← ∧filter
-    a.emit(nop().rm(1).a(ASel::StoreR).b(BSel::T).alu(AluOp::INC_A).load_rm());
+    a.emit(
+        nop()
+            .rm(1)
+            .a(ASel::StoreR)
+            .b(BSel::T)
+            .alu(AluOp::INC_A)
+            .load_rm(),
+    );
     a.emit(nop().rm(10).alu(AluOp::A).load_t()); // T ← raw src (for prev)
-    a.emit(nop().ff(FfOp::DecCount).branch(Cond::CntZero, "bitblt:merge.nx", "bitblt:merge.w"));
+    a.emit(
+        nop()
+            .ff(FfOp::DecCount)
+            .branch(Cond::CntZero, "bitblt:merge.nx", "bitblt:merge.w"),
+    );
     emit_row_advance(a, "M", "bitblt:merge.row");
 
     // --- fillmask: masked read-modify-write, one word per row ------------
@@ -281,7 +339,14 @@ pub fn emit_microcode(a: &mut Assembler) {
     a.emit(nop().rm(1).a(ASel::FetchR)); // fetch the destination word
     a.emit(nop().rm(8).alu(AluOp::A).load_t()); // R = T = justified bits
     a.emit(nop().rm(8).ff(FfOp::ShOutM).load_t()); // T ← field ∪ MEMDATA
-    a.emit(nop().rm(1).a(ASel::StoreR).b(BSel::T).alu(AluOp::INC_A).load_rm());
+    a.emit(
+        nop()
+            .rm(1)
+            .a(ASel::StoreR)
+            .b(BSel::T)
+            .alu(AluOp::INC_A)
+            .load_rm(),
+    );
     a.emit(nop().rm(5).alu(AluOp::A).load_t()); // T ← row gap
     a.emit(nop().rm(1).b(BSel::T).alu(AluOp::ADD).load_rm());
     a.emit(nop().rm(3).alu(AluOp::DEC_A).load_rm());
@@ -308,7 +373,10 @@ pub fn load_fillmask(
     size: u8,
 ) {
     assert!(height >= 1 && pitch >= 1, "degenerate masked fill");
-    assert!(size >= 1 && u32::from(pos) + u32::from(size) <= 16, "field does not fit a word");
+    assert!(
+        size >= 1 && u32::from(pos) + u32::from(size) <= 16,
+        "field does not fit a word"
+    );
     let base = usize::from(RB_BITBLT) << 4;
     m.set_rm(base + 1, dst);
     m.set_rm(base + 3, height);
@@ -435,9 +503,16 @@ pub fn fill_rect_bits(m: &mut Dorado, r: &BitRect, pattern: Word) {
                 load_params(m, &p, BlitKind::Fill);
                 m.restart_at("bitblt:fill").expect("bitblt:fill in image");
             }
-            FillStep::Edge { dst, height, pitch, pos, size } => {
+            FillStep::Edge {
+                dst,
+                height,
+                pitch,
+                pos,
+                size,
+            } => {
                 load_fillmask(m, dst, height, pitch, pattern, pos, size);
-                m.restart_at("bitblt:fillmask").expect("bitblt:fillmask in image");
+                m.restart_at("bitblt:fillmask")
+                    .expect("bitblt:fillmask in image");
             }
         }
         let out = m.run(5_000_000);
@@ -565,10 +640,7 @@ mod tests {
         assert_eq!(mem[128], 0);
         assert_eq!(mem[131], 3);
         assert_eq!(mem[136], 8); // second row from src row 1
-        let p2 = BitBltParams {
-            fill: 0xbeef,
-            ..p
-        };
+        let p2 = BitBltParams { fill: 0xbeef, ..p };
         reference_fill(&mut mem, &p2);
         assert_eq!(mem[128], 0xbeef);
         assert_eq!(mem[131 + 8], 0xbeef);
@@ -597,11 +669,24 @@ mod tests {
 
     #[test]
     fn plan_single_word_rect_is_one_edge() {
-        let r = BitRect { base: 0, pitch: 4, x: 3, y: 0, w: 7, h: 2 };
+        let r = BitRect {
+            base: 0,
+            pitch: 4,
+            x: 3,
+            y: 0,
+            w: 7,
+            h: 2,
+        };
         let steps = plan_fill_bits(&r);
         assert_eq!(
             steps,
-            vec![FillStep::Edge { dst: 0, height: 2, pitch: 4, pos: 6, size: 7 }]
+            vec![FillStep::Edge {
+                dst: 0,
+                height: 2,
+                pitch: 4,
+                pos: 6,
+                size: 7
+            }]
         );
     }
 
@@ -609,16 +694,35 @@ mod tests {
     fn plan_spanning_rect_has_edges_and_interior() {
         // Bits 5..53 over a 4-word pitch: left edge (11 bits), interior
         // words 1-2, right edge (5 bits).
-        let r = BitRect { base: 0x100, pitch: 4, x: 5, y: 1, w: 48, h: 3 };
+        let r = BitRect {
+            base: 0x100,
+            pitch: 4,
+            x: 5,
+            y: 1,
+            w: 48,
+            h: 3,
+        };
         let steps = plan_fill_bits(&r);
         assert_eq!(steps.len(), 3);
         assert_eq!(
             steps[0],
-            FillStep::Edge { dst: 0x104, height: 3, pitch: 4, pos: 0, size: 11 }
+            FillStep::Edge {
+                dst: 0x104,
+                height: 3,
+                pitch: 4,
+                pos: 0,
+                size: 11
+            }
         );
         assert_eq!(
             steps[1],
-            FillStep::Edge { dst: 0x107, height: 3, pitch: 4, pos: 11, size: 5 }
+            FillStep::Edge {
+                dst: 0x107,
+                height: 3,
+                pitch: 4,
+                pos: 11,
+                size: 5
+            }
         );
         match &steps[2] {
             FillStep::Words(p) => {
@@ -632,7 +736,14 @@ mod tests {
 
     #[test]
     fn plan_aligned_rect_is_pure_words() {
-        let r = BitRect { base: 0, pitch: 8, x: 16, y: 0, w: 64, h: 2 };
+        let r = BitRect {
+            base: 0,
+            pitch: 8,
+            x: 16,
+            y: 0,
+            w: 64,
+            h: 2,
+        };
         let steps = plan_fill_bits(&r);
         assert_eq!(steps.len(), 1);
         match &steps[0] {
@@ -647,7 +758,14 @@ mod tests {
     #[test]
     fn reference_fill_bits_preserves_outside() {
         let mut mem = vec![0xffffu16; 16];
-        let r = BitRect { base: 0, pitch: 4, x: 4, y: 0, w: 8, h: 1 };
+        let r = BitRect {
+            base: 0,
+            pitch: 4,
+            x: 4,
+            y: 0,
+            w: 8,
+            h: 1,
+        };
         reference_fill_bits(&mut mem, &r, 0x0000);
         // Display bits 4..12 cleared: MSB nibble and low nibble kept.
         assert_eq!(mem[0], 0xf00f);
@@ -657,7 +775,14 @@ mod tests {
     #[test]
     #[should_panic(expected = "overruns")]
     fn plan_rejects_overrun() {
-        plan_fill_bits(&BitRect { base: 0, pitch: 2, x: 30, y: 0, w: 4, h: 1 });
+        plan_fill_bits(&BitRect {
+            base: 0,
+            pitch: 2,
+            x: 30,
+            y: 0,
+            w: 4,
+            h: 1,
+        });
     }
 
     #[test]

@@ -21,7 +21,7 @@
 //! task), so these loops keep their countdowns in RM registers and test
 //! the ALU `Zero` flag, which *is* task-specific (§5.3).
 
-use dorado_asm::{ASel, Assembler, AluOp, BSel, Cond, FfOp, Inst};
+use dorado_asm::{ASel, AluOp, Assembler, BSel, Cond, FfOp, Inst};
 use dorado_base::Word;
 use dorado_core::Dorado;
 
@@ -74,9 +74,27 @@ fn emit_net_preamble(a: &mut Assembler, entry: &str) {
     a.emit(nop().const16(RB_NET.into()).alu(AluOp::B).load_t());
     a.emit(nop().b(BSel::T).ff(FfOp::LoadRBase));
     a.emit(nop().ff(FfOp::LoadMemBaseImm(BR_NET)));
-    a.emit(nop().rm(CR_IOA_DATA).const16(IOA_NET).alu(AluOp::B).load_rm());
-    a.emit(nop().rm(CR_IOA_CTRL).const16(IOA_NET + 2).alu(AluOp::B).load_rm());
-    a.emit(nop().rm(CR_IOA_LEN).const16(IOA_NET + 3).alu(AluOp::B).load_rm());
+    a.emit(
+        nop()
+            .rm(CR_IOA_DATA)
+            .const16(IOA_NET)
+            .alu(AluOp::B)
+            .load_rm(),
+    );
+    a.emit(
+        nop()
+            .rm(CR_IOA_CTRL)
+            .const16(IOA_NET + 2)
+            .alu(AluOp::B)
+            .load_rm(),
+    );
+    a.emit(
+        nop()
+            .rm(CR_IOA_LEN)
+            .const16(IOA_NET + 3)
+            .alu(AluOp::B)
+            .load_rm(),
+    );
     a.emit(nop().rm(CR_IOA_DATA).ff(FfOp::LoadIoAddress));
     a.emit(nop().rm(CR_COUNT).const16(0).alu(AluOp::B).load_rm());
 }
@@ -88,8 +106,20 @@ fn emit_emu_preamble(a: &mut Assembler, entry: &str) {
     a.emit(nop().const16(0).alu(AluOp::B).load_t());
     a.emit(nop().b(BSel::T).ff(FfOp::LoadRBase));
     a.emit(nop().ff(FfOp::LoadMemBaseImm(BR_DATA)));
-    a.emit(nop().rm(CR_IOA_DATA).const16(IOA_NET).alu(AluOp::B).load_rm());
-    a.emit(nop().rm(CR_IOA_CTRL).const16(IOA_NET + 2).alu(AluOp::B).load_rm());
+    a.emit(
+        nop()
+            .rm(CR_IOA_DATA)
+            .const16(IOA_NET)
+            .alu(AluOp::B)
+            .load_rm(),
+    );
+    a.emit(
+        nop()
+            .rm(CR_IOA_CTRL)
+            .const16(IOA_NET + 2)
+            .alu(AluOp::B)
+            .load_rm(),
+    );
     a.emit(nop().rm(CR_IOA_DATA).ff(FfOp::LoadIoAddress));
     a.emit(nop().rm(CR_COUNT).const16(0).alu(AluOp::B).load_rm());
 }
@@ -110,12 +140,11 @@ fn emit_send(a: &mut Assembler, p: &str) {
     a.emit(nop().branch(Cond::Zero, format!("{p}:endpkt"), format!("{p}:pay")));
     a.label(format!("{p}:pay"));
     a.emit(nop().rm(CR_TMP).alu(AluOp::DEC_A).load_rm());
-    a.emit(
-        nop()
-            .rm(CR_SEQ)
-            .ff(FfOp::IoOutput)
-            .branch(Cond::Zero, format!("{p}:endpkt"), format!("{p}:pay")),
-    );
+    a.emit(nop().rm(CR_SEQ).ff(FfOp::IoOutput).branch(
+        Cond::Zero,
+        format!("{p}:endpkt"),
+        format!("{p}:pay"),
+    ));
     a.label(format!("{p}:endpkt"));
     a.emit(nop().rm(CR_IOA_CTRL).ff(FfOp::LoadIoAddress));
     a.emit(nop().ff(FfOp::IoOutput));
@@ -141,7 +170,14 @@ pub fn emit_echo_server(a: &mut Assembler) {
     a.emit(nop().ff(FfOp::IoInput).load_t());
     a.emit(nop().rm(CR_IOA_DATA).ff(FfOp::LoadIoAddress));
     // CR_TMP ← N − 2: words still to echo after the swapped header pair.
-    a.emit(nop().rm(CR_TMP).a(ASel::T).const16(2).alu(AluOp::SUB).load_rm());
+    a.emit(
+        nop()
+            .rm(CR_TMP)
+            .a(ASel::T)
+            .const16(2)
+            .alu(AluOp::SUB)
+            .load_rm(),
+    );
     // Swap the header: w0 (our address) is held while w1 (the requester)
     // goes out first.
     a.emit(nop().rm(CR_SELF).ff(FfOp::IoInput).load_rm());
@@ -182,7 +218,7 @@ pub fn emit_closed_client(a: &mut Assembler) {
     a.emit(nop().branch(Cond::Zero, "clu:idle", "clib:send"));
     a.label("clu:idle");
     a.emit(nop().goto_("clu:idle")); // task 0 never blocks; it spins
-    // Network side: one response in, one request out.
+                                     // Network side: one response in, one request out.
     emit_net_preamble(a, "clic:init");
     a.label("clic:loop");
     a.emit(nop());
@@ -267,13 +303,7 @@ pub fn emit_microcode(a: &mut Assembler) {
 
 /// Presets a client's *network-task* window: server and self addresses,
 /// starting sequence number, and payload words per request.
-pub fn preset_net_client(
-    m: &mut Dorado,
-    server: Word,
-    self_addr: Word,
-    seq0: Word,
-    payload: Word,
-) {
+pub fn preset_net_client(m: &mut Dorado, server: Word, self_addr: Word, seq0: Word, payload: Word) {
     m.set_rm(rm_index(RB_NET, CR_SERVER), server);
     m.set_rm(rm_index(RB_NET, CR_SELF), self_addr);
     m.set_rm(rm_index(RB_NET, CR_SEQ), seq0);
@@ -358,8 +388,18 @@ mod tests {
     #[test]
     fn register_conventions_are_distinct() {
         let regs = [
-            CR_COUNT, CR_IOA_DATA, CR_IOA_CTRL, CR_IOA_LEN, CR_SERVER, CR_SELF,
-            CR_SEQ, CR_PAYLOAD, CR_LIMIT, CR_TMP, CR_BURST, CR_BTMP,
+            CR_COUNT,
+            CR_IOA_DATA,
+            CR_IOA_CTRL,
+            CR_IOA_LEN,
+            CR_SERVER,
+            CR_SELF,
+            CR_SEQ,
+            CR_PAYLOAD,
+            CR_LIMIT,
+            CR_TMP,
+            CR_BURST,
+            CR_BTMP,
         ];
         for (i, a) in regs.iter().enumerate() {
             for b in &regs[i + 1..] {

@@ -15,7 +15,7 @@
 //! wakeup) that sets the task-specific RBASE and MEMBASE, then falls into
 //! its steady-state loop; `Block` leaves TPC at the loop head.
 
-use dorado_asm::{ASel, Assembler, AluOp, BSel, Cond, FfOp, Inst};
+use dorado_asm::{ASel, AluOp, Assembler, BSel, Cond, FfOp, Inst};
 
 use crate::layout::*;
 
@@ -218,9 +218,20 @@ pub fn emit_display_framed(a: &mut Assembler) {
             .goto_("dispw:blk"),
     );
     a.label("dispw:wrap");
-    a.emit(nop().rm(0).const16(0).alu(AluOp::B).load_rm().goto_("dispw:ack"));
+    a.emit(
+        nop()
+            .rm(0)
+            .const16(0)
+            .alu(AluOp::B)
+            .load_rm()
+            .goto_("dispw:ack"),
+    );
     a.label("dispw:blk");
-    a.emit(nop().io_block().branch(Cond::IoAtten, "dispw:wrap", "dispw:loop"));
+    a.emit(
+        nop()
+            .io_block()
+            .branch(Cond::IoAtten, "dispw:wrap", "dispw:loop"),
+    );
     a.label("dispw:ack");
     a.emit(nop().ff(FfOp::IoNotify).goto_("dispw:loop"));
 }

@@ -24,7 +24,7 @@
 
 use std::collections::HashMap;
 
-use dorado_asm::{ASel, Assembler, AluOp, BSel, Cond, FfOp, Inst};
+use dorado_asm::{ASel, AluOp, Assembler, BSel, Cond, FfOp, Inst};
 use dorado_base::{VirtAddr, Word};
 use dorado_core::Dorado;
 use dorado_ifu::{DecodeEntry, OperandKind};
@@ -120,9 +120,24 @@ pub fn emit_microcode(a: &mut Assembler) {
 
     // PUSHFIX w: store the tag word (0) and the operand.
     a.label("lisp:pushfix");
-    a.emit(nop().rm(R_LSP).a(ASel::StoreR).const16(0).alu(AluOp::INC_A).load_rm());
+    a.emit(
+        nop()
+            .rm(R_LSP)
+            .a(ASel::StoreR)
+            .const16(0)
+            .alu(AluOp::INC_A)
+            .load_rm(),
+    );
     a.emit(nop().a(ASel::IfuData).alu(AluOp::A).load_t());
-    a.emit(nop().rm(R_LSP).a(ASel::StoreR).b(BSel::T).alu(AluOp::INC_A).load_rm().ifu_jump());
+    a.emit(
+        nop()
+            .rm(R_LSP)
+            .a(ASel::StoreR)
+            .b(BSel::T)
+            .alu(AluOp::INC_A)
+            .load_rm()
+            .ifu_jump(),
+    );
 
     // PUSHNIL.
     a.label("lisp:pushnil");
@@ -134,7 +149,15 @@ pub fn emit_microcode(a: &mut Assembler) {
             .alu(AluOp::INC_A)
             .load_rm(),
     );
-    a.emit(nop().rm(R_LSP).a(ASel::StoreR).const16(0).alu(AluOp::INC_A).load_rm().ifu_jump());
+    a.emit(
+        nop()
+            .rm(R_LSP)
+            .a(ASel::StoreR)
+            .const16(0)
+            .alu(AluOp::INC_A)
+            .load_rm()
+            .ifu_jump(),
+    );
 
     // LGET 2n: two loads and two stores — the paper's basic Lisp transfer.
     a.label("lisp:lget");
@@ -143,7 +166,14 @@ pub fn emit_microcode(a: &mut Assembler) {
     a.emit(nop().a(ASel::FetchT)); // item.hi
     a.emit(nop().a(ASel::T).alu(AluOp::INC_A).load_t());
     a.emit(nop().a(ASel::FetchT)); // item.lo
-    a.emit(nop().rm(R_LSP).a(ASel::StoreR).b(BSel::MemData).alu(AluOp::INC_A).load_rm());
+    a.emit(
+        nop()
+            .rm(R_LSP)
+            .a(ASel::StoreR)
+            .b(BSel::MemData)
+            .alu(AluOp::INC_A)
+            .load_rm(),
+    );
     a.emit(
         nop()
             .rm(R_LSP)
@@ -160,7 +190,14 @@ pub fn emit_microcode(a: &mut Assembler) {
     a.emit(nop().rm(R_LFP).b(BSel::T).alu(AluOp::ADD).load_t());
     a.emit(nop().rm(R_ADDR).a(ASel::T).alu(AluOp::INC_A).load_rm()); // lo slot
     emit_pop_fetches(a); // delivers lo, then hi
-    a.emit(nop().rm(R_ADDR).a(ASel::StoreR).b(BSel::MemData).alu(AluOp::DEC_A).load_rm());
+    a.emit(
+        nop()
+            .rm(R_ADDR)
+            .a(ASel::StoreR)
+            .b(BSel::MemData)
+            .alu(AluOp::DEC_A)
+            .load_rm(),
+    );
     a.emit(nop().rm(R_ADDR).a(ASel::StoreR).b(BSel::MemData).ifu_jump());
 
     // ADD / SUB with tag checks on both operands; the low-half and
@@ -187,10 +224,25 @@ pub fn emit_microcode(a: &mut Assembler) {
         a.emit(nop().rm(R_VAL).b(BSel::Rm).alu(AluOp::B).load_t()); // T ← b.lo
         a.emit(nop().rm(R_CTL).b(BSel::T).alu(lo_op).load_t()); // low result
         a.emit(nop().rm(R_ADDR).b(BSel::Q).alu(hi_op).load_rm()); // high result
-        // Push: high word then low word.
+                                                                  // Push: high word then low word.
         a.emit(nop().rm(R_ADDR).b(BSel::Rm).ff(FfOp::LoadQ));
-        a.emit(nop().rm(R_LSP).a(ASel::StoreR).b(BSel::Q).alu(AluOp::INC_A).load_rm());
-        a.emit(nop().rm(R_LSP).a(ASel::StoreR).b(BSel::T).alu(AluOp::INC_A).load_rm().ifu_jump());
+        a.emit(
+            nop()
+                .rm(R_LSP)
+                .a(ASel::StoreR)
+                .b(BSel::Q)
+                .alu(AluOp::INC_A)
+                .load_rm(),
+        );
+        a.emit(
+            nop()
+                .rm(R_LSP)
+                .a(ASel::StoreR)
+                .b(BSel::T)
+                .alu(AluOp::INC_A)
+                .load_rm()
+                .ifu_jump(),
+        );
     }
 
     // CONS: pop cdr, pop car, build a cell, push the pointer.
@@ -204,14 +256,42 @@ pub fn emit_microcode(a: &mut Assembler) {
     a.emit(nop().b(BSel::MemData).alu(AluOp::B).load_t()); // car.lo
     a.emit(nop().rm(R_CTL).a(ASel::T).alu(AluOp::A).load_rm());
     a.emit(nop().b(BSel::MemData).alu(AluOp::B).load_t()); // car.hi in T
-    // Cell: heap[0]=car.hi, [1]=car.lo, [2]=cdr.hi, [3]=cdr.lo.
-    a.emit(nop().rm(R_HEAP).a(ASel::StoreR).b(BSel::T).alu(AluOp::INC_A).load_rm());
+                                                           // Cell: heap[0]=car.hi, [1]=car.lo, [2]=cdr.hi, [3]=cdr.lo.
+    a.emit(
+        nop()
+            .rm(R_HEAP)
+            .a(ASel::StoreR)
+            .b(BSel::T)
+            .alu(AluOp::INC_A)
+            .load_rm(),
+    );
     a.emit(nop().rm(R_CTL).b(BSel::Rm).ff(FfOp::LoadQ));
-    a.emit(nop().rm(R_HEAP).a(ASel::StoreR).b(BSel::Q).alu(AluOp::INC_A).load_rm());
+    a.emit(
+        nop()
+            .rm(R_HEAP)
+            .a(ASel::StoreR)
+            .b(BSel::Q)
+            .alu(AluOp::INC_A)
+            .load_rm(),
+    );
     a.emit(nop().rm(R_MPD).b(BSel::Rm).ff(FfOp::LoadQ));
-    a.emit(nop().rm(R_HEAP).a(ASel::StoreR).b(BSel::Q).alu(AluOp::INC_A).load_rm());
+    a.emit(
+        nop()
+            .rm(R_HEAP)
+            .a(ASel::StoreR)
+            .b(BSel::Q)
+            .alu(AluOp::INC_A)
+            .load_rm(),
+    );
     a.emit(nop().rm(R_VAL).b(BSel::Rm).ff(FfOp::LoadQ));
-    a.emit(nop().rm(R_HEAP).a(ASel::StoreR).b(BSel::Q).alu(AluOp::INC_A).load_rm());
+    a.emit(
+        nop()
+            .rm(R_HEAP)
+            .a(ASel::StoreR)
+            .b(BSel::Q)
+            .alu(AluOp::INC_A)
+            .load_rm(),
+    );
     // Push the CONS item: tag word, then the cell address (heap − 4).
     a.emit(
         nop()
@@ -222,7 +302,15 @@ pub fn emit_microcode(a: &mut Assembler) {
             .load_rm(),
     );
     a.emit(nop().rm(R_HEAP).const16(4).alu(AluOp::SUB).load_t());
-    a.emit(nop().rm(R_LSP).a(ASel::StoreR).b(BSel::T).alu(AluOp::INC_A).load_rm().ifu_jump());
+    a.emit(
+        nop()
+            .rm(R_LSP)
+            .a(ASel::StoreR)
+            .b(BSel::T)
+            .alu(AluOp::INC_A)
+            .load_rm()
+            .ifu_jump(),
+    );
 
     // CAR / CDR: pop a cons pointer (checked), fetch the half-cell, push.
     for (name, offset) in [("car", 0u16), ("cdr", 2u16)] {
@@ -236,7 +324,14 @@ pub fn emit_microcode(a: &mut Assembler) {
         a.emit(nop().a(ASel::FetchT)); // half.hi
         a.emit(nop().a(ASel::T).alu(AluOp::INC_A).load_t());
         a.emit(nop().a(ASel::FetchT)); // half.lo
-        a.emit(nop().rm(R_LSP).a(ASel::StoreR).b(BSel::MemData).alu(AluOp::INC_A).load_rm());
+        a.emit(
+            nop()
+                .rm(R_LSP)
+                .a(ASel::StoreR)
+                .b(BSel::MemData)
+                .alu(AluOp::INC_A)
+                .load_rm(),
+        );
         a.emit(
             nop()
                 .rm(R_LSP)
@@ -267,7 +362,14 @@ pub fn emit_microcode(a: &mut Assembler) {
     a.label("lisp:jmp");
     a.emit(nop().rm(R_TMP).ff(FfOp::IfuReadPc).load_rm());
     a.label("lisp:jtake");
-    a.emit(nop().rm(R_TMP).a(ASel::IfuData).b(BSel::Rm).alu(AluOp::ADD).load_rm());
+    a.emit(
+        nop()
+            .rm(R_TMP)
+            .a(ASel::IfuData)
+            .b(BSel::Rm)
+            .alu(AluOp::ADD)
+            .load_rm(),
+    );
     a.emit(nop().rm(R_TMP).b(BSel::Rm).ff(FfOp::IfuLoadPc));
     a.emit(nop().ifu_jump());
 
@@ -280,14 +382,41 @@ pub fn emit_microcode(a: &mut Assembler) {
     // F = LFS; LFS += frame size.
     a.emit(nop().rm(R_LFS).alu(AluOp::A).load_t());
     a.emit(nop().rm(R_FP).a(ASel::T).alu(AluOp::A).load_rm());
-    a.emit(nop().rm(R_LFS).const16(LISP_FRAME_WORDS as Word).alu(AluOp::ADD).load_rm());
+    a.emit(
+        nop()
+            .rm(R_LFS)
+            .const16(LISP_FRAME_WORDS as Word)
+            .alu(AluOp::ADD)
+            .load_rm(),
+    );
     // F[0] ← old LFP; F[1] ← return PC; F[2] ← nargs.
     a.emit(nop().rm(R_LFP).b(BSel::Rm).ff(FfOp::LoadQ));
-    a.emit(nop().rm(R_FP).a(ASel::StoreR).b(BSel::Q).alu(AluOp::INC_A).load_rm());
+    a.emit(
+        nop()
+            .rm(R_FP)
+            .a(ASel::StoreR)
+            .b(BSel::Q)
+            .alu(AluOp::INC_A)
+            .load_rm(),
+    );
     a.emit(nop().ff(FfOp::IfuReadPc).load_t());
-    a.emit(nop().rm(R_FP).a(ASel::StoreR).b(BSel::T).alu(AluOp::INC_A).load_rm());
+    a.emit(
+        nop()
+            .rm(R_FP)
+            .a(ASel::StoreR)
+            .b(BSel::T)
+            .alu(AluOp::INC_A)
+            .load_rm(),
+    );
     a.emit(nop().rm(R_NARGS).b(BSel::Rm).ff(FfOp::LoadQ));
-    a.emit(nop().rm(R_FP).a(ASel::StoreR).b(BSel::Q).alu(AluOp::INC_A).load_rm());
+    a.emit(
+        nop()
+            .rm(R_FP)
+            .a(ASel::StoreR)
+            .b(BSel::Q)
+            .alu(AluOp::INC_A)
+            .load_rm(),
+    );
     // New LFP = F+3 (the argument base); FP then walks to the top item's
     // high-word slot: FP = F+3 + 2·nargs − 2.
     a.emit(nop().rm(R_FP).alu(AluOp::A).load_t());
@@ -300,7 +429,13 @@ pub fn emit_microcode(a: &mut Assembler) {
     a.emit(nop().branch(Cond::CntZero, "lisp:call.done", "lisp:call.top"));
     a.pair_align();
     a.label("lisp:call.top");
-    a.emit(nop().rm(R_LSP).alu(AluOp::DEC_A).load_rm().goto_("lisp:call.mv"));
+    a.emit(
+        nop()
+            .rm(R_LSP)
+            .alu(AluOp::DEC_A)
+            .load_rm()
+            .goto_("lisp:call.mv"),
+    );
     a.label("lisp:call.done");
     a.emit(nop().goto_("lisp:call.fin"));
     a.label("lisp:call.mv");
@@ -309,10 +444,21 @@ pub fn emit_microcode(a: &mut Assembler) {
     a.emit(nop().rm(R_LSP).a(ASel::FetchR)); // item.hi
     a.emit(nop().rm(R_FP).alu(AluOp::INC_A).load_t()); // T = lo slot
     a.emit(nop().rm(R_ADDR).a(ASel::T).alu(AluOp::A).load_rm());
-    a.emit(nop().rm(R_ADDR).a(ASel::StoreR).b(BSel::MemData).alu(AluOp::DEC_A).load_rm());
+    a.emit(
+        nop()
+            .rm(R_ADDR)
+            .a(ASel::StoreR)
+            .b(BSel::MemData)
+            .alu(AluOp::DEC_A)
+            .load_rm(),
+    );
     a.emit(nop().rm(R_ADDR).a(ASel::StoreR).b(BSel::MemData)); // high word
     a.emit(nop().rm(R_FP).const16(2).alu(AluOp::SUB).load_rm());
-    a.emit(nop().ff(FfOp::DecCount).branch(Cond::CntZero, "lisp:call.done", "lisp:call.top"));
+    a.emit(
+        nop()
+            .ff(FfOp::DecCount)
+            .branch(Cond::CntZero, "lisp:call.done", "lisp:call.top"),
+    );
     a.label("lisp:call.fin");
     // NIL-fill four local item slots above the arguments (Interlisp's
     // interpreter hygiene), then record a deep-binding entry per argument
@@ -330,7 +476,14 @@ pub fn emit_microcode(a: &mut Assembler) {
                 .alu(AluOp::INC_A)
                 .load_rm(),
         );
-        a.emit(nop().rm(R_ADDR).a(ASel::StoreR).const16(0).alu(AluOp::INC_A).load_rm());
+        a.emit(
+            nop()
+                .rm(R_ADDR)
+                .a(ASel::StoreR)
+                .const16(0)
+                .alu(AluOp::INC_A)
+                .load_rm(),
+        );
     }
     // Deep-binding records: one (frame, slot) pair pushed onto the
     // binding list per argument.
@@ -338,14 +491,44 @@ pub fn emit_microcode(a: &mut Assembler) {
     a.emit(nop().branch(Cond::CntZero, "lisp:call.go", "lisp:call.bind"));
     a.pair_align();
     a.label("lisp:call.bind");
-    a.emit(nop().rm(R_LFP).b(BSel::Rm).ff(FfOp::LoadQ).goto_("lisp:call.bind2"));
+    a.emit(
+        nop()
+            .rm(R_LFP)
+            .b(BSel::Rm)
+            .ff(FfOp::LoadQ)
+            .goto_("lisp:call.bind2"),
+    );
     a.label("lisp:call.go");
-    a.emit(nop().rm(R_TGT).b(BSel::Rm).ff(FfOp::IfuLoadPc).goto_("lisp:call.go2"));
+    a.emit(
+        nop()
+            .rm(R_TGT)
+            .b(BSel::Rm)
+            .ff(FfOp::IfuLoadPc)
+            .goto_("lisp:call.go2"),
+    );
     a.label("lisp:call.bind2");
-    a.emit(nop().rm(R_LFS).a(ASel::StoreR).b(BSel::Q).alu(AluOp::INC_A).load_rm());
+    a.emit(
+        nop()
+            .rm(R_LFS)
+            .a(ASel::StoreR)
+            .b(BSel::Q)
+            .alu(AluOp::INC_A)
+            .load_rm(),
+    );
     a.emit(nop().ff(FfOp::ReadCount).load_t());
-    a.emit(nop().rm(R_LFS).a(ASel::StoreR).b(BSel::T).alu(AluOp::INC_A).load_rm());
-    a.emit(nop().ff(FfOp::DecCount).branch(Cond::CntZero, "lisp:call.go", "lisp:call.bind"));
+    a.emit(
+        nop()
+            .rm(R_LFS)
+            .a(ASel::StoreR)
+            .b(BSel::T)
+            .alu(AluOp::INC_A)
+            .load_rm(),
+    );
+    a.emit(
+        nop()
+            .ff(FfOp::DecCount)
+            .branch(Cond::CntZero, "lisp:call.go", "lisp:call.bind"),
+    );
     a.label("lisp:call.go2");
     a.emit(nop().ifu_jump());
 
@@ -558,7 +741,8 @@ impl LispAsm {
             let target = *self
                 .labels
                 .get(&label)
-                .ok_or_else(|| format!("undefined label `{label}`"))? as i64;
+                .ok_or_else(|| format!("undefined label `{label}`"))?
+                as i64;
             if abs {
                 let v = u16::try_from(target).map_err(|_| "label out of range".to_string())?;
                 self.bytes[at] = (v >> 8) as u8;

@@ -18,7 +18,7 @@
 
 use std::collections::HashMap;
 
-use dorado_asm::{ASel, Assembler, AluOp, BSel, Cond, FfOp, Inst, ShiftCtl};
+use dorado_asm::{ASel, AluOp, Assembler, BSel, Cond, FfOp, Inst, ShiftCtl};
 use dorado_base::Word;
 use dorado_core::Dorado;
 use dorado_ifu::{DecodeEntry, OperandKind};
@@ -101,12 +101,26 @@ pub fn emit_microcode(a: &mut Assembler) {
 
     // LIB / LIW: push the immediate operand — one microinstruction.
     a.label("mesa:lib");
-    a.emit(nop().a(ASel::IfuData).alu(AluOp::A).stack(1).load_rm().ifu_jump());
+    a.emit(
+        nop()
+            .a(ASel::IfuData)
+            .alu(AluOp::A)
+            .stack(1)
+            .load_rm()
+            .ifu_jump(),
+    );
 
     // LL n: fetch via the IFU operand (locals base), push MEMDATA.
     a.label("mesa:ll");
     a.emit(nop().a(ASel::FetchIfu));
-    a.emit(nop().b(BSel::MemData).alu(AluOp::B).stack(1).load_rm().ifu_jump());
+    a.emit(
+        nop()
+            .b(BSel::MemData)
+            .alu(AluOp::B)
+            .stack(1)
+            .load_rm()
+            .ifu_jump(),
+    );
 
     // SL n: store the popped top of stack at the operand address — one
     // microinstruction ("a load or store ... one or two", §7).
@@ -117,7 +131,14 @@ pub fn emit_microcode(a: &mut Assembler) {
     // register at dispatch (§6.3.3), so no base-switching instructions.
     a.label("mesa:lg");
     a.emit(nop().a(ASel::FetchIfu));
-    a.emit(nop().b(BSel::MemData).alu(AluOp::B).stack(1).load_rm().ifu_jump());
+    a.emit(
+        nop()
+            .b(BSel::MemData)
+            .alu(AluOp::B)
+            .stack(1)
+            .load_rm()
+            .ifu_jump(),
+    );
     a.label("mesa:sg");
     a.emit(nop().a(ASel::StoreIfu).b(BSel::Rm).stack(-1).ifu_jump());
 
@@ -152,7 +173,14 @@ pub fn emit_microcode(a: &mut Assembler) {
     a.label("mesa:jb");
     a.emit(nop().rm(R_TMP).ff(FfOp::IfuReadPc).load_rm());
     a.label("mesa:jtake");
-    a.emit(nop().rm(R_TMP).a(ASel::IfuData).b(BSel::Rm).alu(AluOp::ADD).load_rm());
+    a.emit(
+        nop()
+            .rm(R_TMP)
+            .a(ASel::IfuData)
+            .b(BSel::Rm)
+            .alu(AluOp::ADD)
+            .load_rm(),
+    );
     a.emit(nop().rm(R_TMP).b(BSel::Rm).ff(FfOp::IfuLoadPc));
     a.emit(nop().ifu_jump());
 
@@ -182,7 +210,14 @@ pub fn emit_microcode(a: &mut Assembler) {
     a.emit(nop().a(ASel::FetchT)); // membase = DATA, selected at dispatch
     a.emit(nop().rm(R_CTL).a(ASel::IfuData).alu(AluOp::A).load_rm());
     a.emit(nop().rm(R_CTL).b(BSel::Rm).ff(FfOp::LoadShiftCtl));
-    a.emit(nop().rm(R_VAL).b(BSel::MemData).alu(AluOp::B).load_t().load_rm());
+    a.emit(
+        nop()
+            .rm(R_VAL)
+            .b(BSel::MemData)
+            .alu(AluOp::B)
+            .load_t()
+            .load_rm(),
+    );
     a.emit(nop().rm(R_VAL).ff(FfOp::ShOutZ).load_t());
     a.emit(nop().a(ASel::T).alu(AluOp::A).stack(1).load_rm().ifu_jump());
 
@@ -204,7 +239,14 @@ pub fn emit_microcode(a: &mut Assembler) {
     a.emit(nop().stack(-1).alu(AluOp::A).load_t());
     a.emit(nop().stack(0).b(BSel::T).alu(AluOp::ADD).load_t());
     a.emit(nop().a(ASel::FetchT)); // membase = DATA at dispatch
-    a.emit(nop().stack(0).b(BSel::MemData).alu(AluOp::B).load_rm().ifu_jump());
+    a.emit(
+        nop()
+            .stack(0)
+            .b(BSel::MemData)
+            .alu(AluOp::B)
+            .load_rm()
+            .ifu_jump(),
+    );
 
     // AWRITE: pop value, index, base; store value.
     a.label("mesa:awrite");
@@ -243,9 +285,20 @@ pub fn emit_microcode(a: &mut Assembler) {
             .goto_("mesa:mul.step"),
     );
     a.label("mesa:mul.done");
-    a.emit(nop().a(ASel::T).alu(AluOp::A).stack(1).load_rm().goto_("mesa:mul.fin"));
+    a.emit(
+        nop()
+            .a(ASel::T)
+            .alu(AluOp::A)
+            .stack(1)
+            .load_rm()
+            .goto_("mesa:mul.fin"),
+    );
     a.label("mesa:mul.step");
-    a.emit(nop().ff(FfOp::DecCount).branch(Cond::CntZero, "mesa:mul.done", "mesa:mul.top"));
+    a.emit(
+        nop()
+            .ff(FfOp::DecCount)
+            .branch(Cond::CntZero, "mesa:mul.done", "mesa:mul.top"),
+    );
     a.label("mesa:mul.fin");
     a.emit(nop().b(BSel::Q).alu(AluOp::B).stack(1).load_rm().ifu_jump());
 
@@ -268,9 +321,20 @@ pub fn emit_microcode(a: &mut Assembler) {
             .goto_("mesa:div.step"),
     );
     a.label("mesa:div.done");
-    a.emit(nop().a(ASel::T).alu(AluOp::A).stack(1).load_rm().goto_("mesa:div.fin"));
+    a.emit(
+        nop()
+            .a(ASel::T)
+            .alu(AluOp::A)
+            .stack(1)
+            .load_rm()
+            .goto_("mesa:div.fin"),
+    );
     a.label("mesa:div.step");
-    a.emit(nop().ff(FfOp::DecCount).branch(Cond::CntZero, "mesa:div.done", "mesa:div.top"));
+    a.emit(
+        nop()
+            .ff(FfOp::DecCount)
+            .branch(Cond::CntZero, "mesa:div.done", "mesa:div.top"),
+    );
     a.label("mesa:div.fin");
     a.emit(nop().b(BSel::Q).alu(AluOp::B).stack(1).load_rm().ifu_jump());
 
@@ -281,13 +345,33 @@ pub fn emit_microcode(a: &mut Assembler) {
     a.emit(nop().rm(R_TGT).a(ASel::IfuData).alu(AluOp::A).load_rm());
     a.emit(nop().ff(FfOp::ReadBase).load_t()); // T ← L (locals base selected)
     a.emit(nop().b(BSel::T).ff(FfOp::LoadQ)); // Q ← old L
-    a.emit(nop().rm(R_AV).alu(AluOp::A).load_t().ff(FfOp::LoadMemBaseImm(BR_DATA)));
+    a.emit(
+        nop()
+            .rm(R_AV)
+            .alu(AluOp::A)
+            .load_t()
+            .ff(FfOp::LoadMemBaseImm(BR_DATA)),
+    );
     a.emit(nop().a(ASel::FetchT)); // fetch F[0] = next free frame
     a.emit(nop().rm(R_FP).a(ASel::T).alu(AluOp::A).load_rm());
     a.emit(nop().rm(R_AV).b(BSel::MemData).alu(AluOp::B).load_rm());
-    a.emit(nop().rm(R_FP).a(ASel::StoreR).b(BSel::Q).alu(AluOp::INC_A).load_rm());
+    a.emit(
+        nop()
+            .rm(R_FP)
+            .a(ASel::StoreR)
+            .b(BSel::Q)
+            .alu(AluOp::INC_A)
+            .load_rm(),
+    );
     a.emit(nop().ff(FfOp::IfuReadPc).load_t()); // T ← return byte PC
-    a.emit(nop().rm(R_FP).a(ASel::StoreR).b(BSel::T).alu(AluOp::INC_A).load_rm());
+    a.emit(
+        nop()
+            .rm(R_FP)
+            .a(ASel::StoreR)
+            .b(BSel::T)
+            .alu(AluOp::INC_A)
+            .load_rm(),
+    );
     a.emit(nop().rm(R_NARGS).alu(AluOp::A).load_t());
     a.emit(nop().rm(R_FP).b(BSel::T).alu(AluOp::ADD).load_rm());
     a.emit(nop().rm(R_FP).alu(AluOp::DEC_A).load_rm()); // FP = F+1+nargs
@@ -295,12 +379,35 @@ pub fn emit_microcode(a: &mut Assembler) {
     a.emit(nop().branch(Cond::CntZero, "mesa:call.done", "mesa:call.top"));
     a.pair_align();
     a.label("mesa:call.top");
-    a.emit(nop().stack(-1).alu(AluOp::A).load_t().goto_("mesa:call.store"));
+    a.emit(
+        nop()
+            .stack(-1)
+            .alu(AluOp::A)
+            .load_t()
+            .goto_("mesa:call.store"),
+    );
     a.label("mesa:call.done");
-    a.emit(nop().rm(R_FP).alu(AluOp::INC_A).load_t().goto_("mesa:call.setl"));
+    a.emit(
+        nop()
+            .rm(R_FP)
+            .alu(AluOp::INC_A)
+            .load_t()
+            .goto_("mesa:call.setl"),
+    );
     a.label("mesa:call.store");
-    a.emit(nop().rm(R_FP).a(ASel::StoreR).b(BSel::T).alu(AluOp::DEC_A).load_rm());
-    a.emit(nop().ff(FfOp::DecCount).branch(Cond::CntZero, "mesa:call.done", "mesa:call.top"));
+    a.emit(
+        nop()
+            .rm(R_FP)
+            .a(ASel::StoreR)
+            .b(BSel::T)
+            .alu(AluOp::DEC_A)
+            .load_rm(),
+    );
+    a.emit(
+        nop()
+            .ff(FfOp::DecCount)
+            .branch(Cond::CntZero, "mesa:call.done", "mesa:call.top"),
+    );
     a.label("mesa:call.setl");
     a.emit(nop().ff(FfOp::LoadMemBaseImm(BR_LOCAL)));
     a.emit(nop().b(BSel::T).ff(FfOp::LoadBase)); // L ← F+2
@@ -312,7 +419,12 @@ pub fn emit_microcode(a: &mut Assembler) {
     a.emit(nop().ff(FfOp::ReadBase).load_t()); // T ← L
     a.emit(nop().a(ASel::T).const16(2).alu(AluOp::SUB).load_t()); // T ← F
     a.emit(nop().rm(R_FP).a(ASel::T).alu(AluOp::A).load_rm());
-    a.emit(nop().rm(R_FP).a(ASel::FetchR).ff(FfOp::LoadMemBaseImm(BR_DATA)));
+    a.emit(
+        nop()
+            .rm(R_FP)
+            .a(ASel::FetchR)
+            .ff(FfOp::LoadMemBaseImm(BR_DATA)),
+    );
     a.emit(nop().rm(R_FP).alu(AluOp::INC_A).load_rm());
     a.emit(nop().b(BSel::MemData).ff(FfOp::LoadQ)); // Q ← saved L
     a.emit(nop().rm(R_FP).a(ASel::FetchR)); // fetch F[1] = return PC
@@ -696,21 +808,18 @@ impl MesaAsm {
     /// Returns a message naming any undefined label or out-of-range
     /// displacement.
     #[allow(clippy::type_complexity)]
-    pub fn assemble_with_map(
-        mut self,
-    ) -> Result<(Vec<u8>, Vec<(usize, (usize, usize))>), String> {
+    pub fn assemble_with_map(mut self) -> Result<(Vec<u8>, Vec<(usize, (usize, usize))>), String> {
         for (at, label, fix) in std::mem::take(&mut self.fixups) {
             let target = *self
                 .labels
                 .get(&label)
-                .ok_or_else(|| format!("undefined label `{label}`"))? as i64;
+                .ok_or_else(|| format!("undefined label `{label}`"))?
+                as i64;
             match fix {
                 Fix::RelByte => {
                     let disp = target - (at as i64 + 1);
                     if !(-128..=127).contains(&disp) {
-                        return Err(format!(
-                            "jump to `{label}` out of byte range ({disp})"
-                        ));
+                        return Err(format!("jump to `{label}` out of byte range ({disp})"));
                     }
                     self.bytes[at] = disp as i8 as u8;
                 }

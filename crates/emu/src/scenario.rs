@@ -208,9 +208,12 @@ pub fn build_machine_on(kind: ScenarioKind, suite: &crate::Suite) -> Dorado {
         .task_entry(TASK_MOUSE, "mouse:init")
         .build()
         .expect("scenario machine builds");
-    m.memory_mut().set_base_reg(BaseRegId::new(BR_DISPLAY), u32::from(BITMAP));
-    m.memory_mut().set_base_reg(BaseRegId::new(BR_KBD), u32::from(KBD_RING));
-    m.memory_mut().set_base_reg(BaseRegId::new(BR_MOUSE), u32::from(MOUSE_RING));
+    m.memory_mut()
+        .set_base_reg(BaseRegId::new(BR_DISPLAY), u32::from(BITMAP));
+    m.memory_mut()
+        .set_base_reg(BaseRegId::new(BR_KBD), u32::from(KBD_RING));
+    m.memory_mut()
+        .set_base_reg(BaseRegId::new(BR_MOUSE), u32::from(MOUSE_RING));
     write_stencil(&mut m);
     m
 }
@@ -234,7 +237,8 @@ fn write_stencil(m: &mut Dorado) {
         m.memory_mut().write_virt(VirtAddr::new(base), 0);
         m.memory_mut()
             .write_virt(VirtAddr::new(base + 1), (bits >> 16) as Word);
-        m.memory_mut().write_virt(VirtAddr::new(base + 2), bits as Word);
+        m.memory_mut()
+            .write_virt(VirtAddr::new(base + 2), bits as Word);
         m.memory_mut().write_virt(VirtAddr::new(base + 3), 0);
     }
 }
@@ -256,11 +260,15 @@ fn glyph_row(code: Word, row: u16) -> u8 {
 // --- driver helpers ----------------------------------------------------------
 
 fn display_of(m: &mut Dorado) -> &mut DisplayController {
-    m.device_mut::<DisplayController>("display").expect("display attached")
+    m.device_mut::<DisplayController>("display")
+        .expect("display attached")
 }
 
 fn fields_of(m: &mut Dorado) -> u64 {
-    display_of(m).framebuffer().expect("framebuffer attached").fields()
+    display_of(m)
+        .framebuffer()
+        .expect("framebuffer attached")
+        .fields()
 }
 
 /// Runs one blit episode to its halt and returns to nothing (the caller
@@ -276,7 +284,14 @@ fn blit(m: &mut Dorado, p: &BitBltParams, kind: BlitKind) {
 fn fill(m: &mut Dorado, x: u16, y: u16, w: u16, h: u16, pattern: Word) {
     bitblt::fill_rect_bits(
         m,
-        &BitRect { base: BITMAP, pitch: SCREEN_WORDS, x, y, w, h },
+        &BitRect {
+            base: BITMAP,
+            pitch: SCREEN_WORDS,
+            x,
+            y,
+            w,
+            h,
+        },
         pattern,
     );
 }

@@ -17,7 +17,7 @@
 
 use std::collections::HashMap;
 
-use dorado_asm::{ASel, Assembler, AluOp, BSel, Cond, FfOp, Inst};
+use dorado_asm::{ASel, AluOp, Assembler, BSel, Cond, FfOp, Inst};
 use dorado_base::{VirtAddr, Word};
 use dorado_core::Dorado;
 use dorado_ifu::{DecodeEntry, OperandKind};
@@ -70,13 +70,27 @@ pub fn emit_microcode(a: &mut Assembler) {
 
     // PUSHFIX.
     a.label("st:pushfix");
-    a.emit(nop().a(ASel::IfuData).alu(AluOp::A).stack(1).load_rm().ifu_jump());
+    a.emit(
+        nop()
+            .a(ASel::IfuData)
+            .alu(AluOp::A)
+            .stack(1)
+            .load_rm()
+            .ifu_jump(),
+    );
 
     // PUSHVAR / SETVAR through the global vector (the IFU selects the
     // base register at dispatch, §6.3.3).
     a.label("st:pushvar");
     a.emit(nop().a(ASel::FetchIfu));
-    a.emit(nop().b(BSel::MemData).alu(AluOp::B).stack(1).load_rm().ifu_jump());
+    a.emit(
+        nop()
+            .b(BSel::MemData)
+            .alu(AluOp::B)
+            .stack(1)
+            .load_rm()
+            .ifu_jump(),
+    );
     a.label("st:setvar");
     a.emit(nop().a(ASel::StoreIfu).b(BSel::Rm).stack(-1).ifu_jump());
 
@@ -86,12 +100,26 @@ pub fn emit_microcode(a: &mut Assembler) {
     a.emit(nop().rm(R_RCVR).b(BSel::T).alu(AluOp::ADD).load_t());
     a.emit(nop().a(ASel::T).alu(AluOp::INC_A).load_t()); // skip class word
     a.emit(nop().a(ASel::FetchT));
-    a.emit(nop().b(BSel::MemData).alu(AluOp::B).stack(1).load_rm().ifu_jump());
+    a.emit(
+        nop()
+            .b(BSel::MemData)
+            .alu(AluOp::B)
+            .stack(1)
+            .load_rm()
+            .ifu_jump(),
+    );
 
     // ADD.
     a.label("st:add");
     a.emit(nop().stack(-1).alu(AluOp::A).load_t());
-    a.emit(nop().stack(0).b(BSel::T).alu(AluOp::ADD).load_rm().ifu_jump());
+    a.emit(
+        nop()
+            .stack(0)
+            .b(BSel::T)
+            .alu(AluOp::ADD)
+            .load_rm()
+            .ifu_jump(),
+    );
 
     // SEND sel, nargs.
     a.label("st:send");
@@ -103,7 +131,14 @@ pub fn emit_microcode(a: &mut Assembler) {
     a.emit(nop().rm(R_NARGS).b(BSel::Rm).alu(AluOp::B).load_t()); // T ← nargs
     a.emit(nop().rm(R_VAL).a(ASel::T).alu(AluOp::A).load_rm()); // RM[VAL] ← nargs
     a.emit(nop().ff(FfOp::ReadStackPtr).load_t()); // T ← pointer again
-    a.emit(nop().rm(R_VAL).a(ASel::T).b(BSel::Rm).alu(AluOp::SUB).load_t()); // ptr − nargs
+    a.emit(
+        nop()
+            .rm(R_VAL)
+            .a(ASel::T)
+            .b(BSel::Rm)
+            .alu(AluOp::SUB)
+            .load_t(),
+    ); // ptr − nargs
     a.emit(nop().b(BSel::T).ff(FfOp::LoadStackPtr));
     a.emit(nop().stack(0).alu(AluOp::A).load_t()); // T ← receiver ptr
     a.emit(nop().b(BSel::Q).ff(FfOp::LoadStackPtr)); // restore pointer
@@ -112,12 +147,31 @@ pub fn emit_microcode(a: &mut Assembler) {
     a.emit(nop().a(ASel::FetchT));
     a.emit(nop().b(BSel::MemData).alu(AluOp::B).load_t());
     a.emit(nop().rm(R_CTL).a(ASel::T).alu(AluOp::A).load_rm()); // class
-    // Hash: (class + selector) & (entries−1), ×4, + MCACHE.
-    a.emit(nop().rm(R_TGT).a(ASel::T).b(BSel::Rm).alu(AluOp::ADD).load_t()); // class + sel
-    a.emit(nop().a(ASel::T).const16((MCACHE_ENTRIES - 1) as Word).alu(AluOp::AND).load_t());
+                                                                // Hash: (class + selector) & (entries−1), ×4, + MCACHE.
+    a.emit(
+        nop()
+            .rm(R_TGT)
+            .a(ASel::T)
+            .b(BSel::Rm)
+            .alu(AluOp::ADD)
+            .load_t(),
+    ); // class + sel
+    a.emit(
+        nop()
+            .a(ASel::T)
+            .const16((MCACHE_ENTRIES - 1) as Word)
+            .alu(AluOp::AND)
+            .load_t(),
+    );
     a.emit(nop().a(ASel::T).b(BSel::T).alu(AluOp::ADD).load_t()); // ×2
     a.emit(nop().a(ASel::T).b(BSel::T).alu(AluOp::ADD).load_t()); // ×4
-    a.emit(nop().a(ASel::T).const16(MCACHE as Word).alu(AluOp::ADD).load_t());
+    a.emit(
+        nop()
+            .a(ASel::T)
+            .const16(MCACHE as Word)
+            .alu(AluOp::ADD)
+            .load_t(),
+    );
     a.emit(nop().rm(R_ADDR).a(ASel::T).alu(AluOp::A).load_rm());
     // Probe: cache.class == class and cache.selector == selector?
     a.emit(nop().rm(R_ADDR).a(ASel::FetchR).alu(AluOp::INC_A).load_rm());
@@ -156,7 +210,14 @@ pub fn emit_microcode(a: &mut Assembler) {
     a.emit(nop().goto_("st:dnu"));
     a.pair_align();
     a.label("st:send.scan");
-    a.emit(nop().rm(R_VAL).a(ASel::FetchR).alu(AluOp::INC_A).load_rm().goto_("st:send.cmp"));
+    a.emit(
+        nop()
+            .rm(R_VAL)
+            .a(ASel::FetchR)
+            .alu(AluOp::INC_A)
+            .load_rm()
+            .goto_("st:send.cmp"),
+    );
     a.label("st:send.notfound");
     a.emit(nop().goto_("st:dnu"));
     a.label("st:send.cmp");
@@ -165,15 +226,33 @@ pub fn emit_microcode(a: &mut Assembler) {
     a.emit(nop().branch(Cond::Zero, "st:send.found", "st:send.next"));
     a.label("st:send.next");
     a.emit(nop().b(BSel::MemData).alu(AluOp::B).load_t()); // discard target
-    a.emit(nop().ff(FfOp::DecCount).branch(Cond::CntZero, "st:send.notfound", "st:send.scan"));
+    a.emit(
+        nop()
+            .ff(FfOp::DecCount)
+            .branch(Cond::CntZero, "st:send.notfound", "st:send.scan"),
+    );
     a.label("st:send.found");
     a.emit(nop().b(BSel::MemData).alu(AluOp::B).load_t()); // T ← target
-    // Refill the cache entry: [class, selector, target].
+                                                           // Refill the cache entry: [class, selector, target].
     a.emit(nop().rm(R_ADDR).const16(2).alu(AluOp::SUB).load_rm()); // back to entry base
     a.emit(nop().rm(R_CTL).b(BSel::Rm).ff(FfOp::LoadQ));
-    a.emit(nop().rm(R_ADDR).a(ASel::StoreR).b(BSel::Q).alu(AluOp::INC_A).load_rm());
+    a.emit(
+        nop()
+            .rm(R_ADDR)
+            .a(ASel::StoreR)
+            .b(BSel::Q)
+            .alu(AluOp::INC_A)
+            .load_rm(),
+    );
     a.emit(nop().rm(R_TGT).b(BSel::Rm).ff(FfOp::LoadQ));
-    a.emit(nop().rm(R_ADDR).a(ASel::StoreR).b(BSel::Q).alu(AluOp::INC_A).load_rm());
+    a.emit(
+        nop()
+            .rm(R_ADDR)
+            .a(ASel::StoreR)
+            .b(BSel::Q)
+            .alu(AluOp::INC_A)
+            .load_rm(),
+    );
     a.emit(nop().rm(R_ADDR).a(ASel::StoreR).b(BSel::T));
     a.emit(nop().goto_("st:activate"));
 
@@ -194,7 +273,11 @@ pub fn emit_microcode(a: &mut Assembler) {
     a.emit(nop().b(BSel::Q).alu(AluOp::B).stack(1).load_rm()); // push result
     a.emit(nop().ifu_jump());
     a.label("st:mret.dec");
-    a.emit(nop().ff(FfOp::DecCount).branch(Cond::CntZero, "st:mret.fin", "st:mret.pop"));
+    a.emit(
+        nop()
+            .ff(FfOp::DecCount)
+            .branch(Cond::CntZero, "st:mret.fin", "st:mret.pop"),
+    );
 
     a.label("st:halt");
     a.emit(nop().ff_halt().goto_("st:halt"));
@@ -249,8 +332,7 @@ pub fn init_runtime(m: &mut Dorado) {
 /// Invalidates every method-cache entry.
 pub fn clear_method_cache(m: &mut Dorado) {
     for i in 0..MCACHE_ENTRIES * 4 {
-        m.memory_mut()
-            .write_virt(VirtAddr::new(MCACHE + i), 0xffff);
+        m.memory_mut().write_virt(VirtAddr::new(MCACHE + i), 0xffff);
     }
 }
 
@@ -306,10 +388,7 @@ impl StAsm {
     pub fn label(&mut self, name: impl Into<String>) -> Word {
         let name = name.into();
         let at = self.bytes.len();
-        assert!(
-            self.labels.insert(name, at).is_none(),
-            "duplicate label"
-        );
+        assert!(self.labels.insert(name, at).is_none(), "duplicate label");
         at as Word
     }
 

@@ -6,7 +6,7 @@
 //! address 0, where unknown opcodes dispatch), and [`Suite`] wires the
 //! result into a [`Dorado`].
 
-use dorado_asm::{Assembler, AsmError, Inst, MicroProgram, PlacedProgram};
+use dorado_asm::{AsmError, Assembler, Inst, MicroProgram, PlacedProgram};
 use dorado_core::{BuildError, Dorado, DoradoBuilder};
 
 use crate::{bitblt, devices, layout, mesa};
@@ -340,11 +340,7 @@ pub fn build_mesa_on_with(
     bytes: &[u8],
     customize: impl FnOnce(DoradoBuilder) -> DoradoBuilder,
 ) -> Result<Dorado, SuiteError> {
-    let builder = customize(
-        suite
-            .machine()
-            .task_entry(layout::TASK_EMU, "mesa:boot"),
-    );
+    let builder = customize(suite.machine().task_entry(layout::TASK_EMU, "mesa:boot"));
     let mut m = builder.build()?;
     mesa::configure_ifu(&mut m);
     mesa::init_runtime(&mut m);

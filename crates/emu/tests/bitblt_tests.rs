@@ -9,11 +9,7 @@ use dorado_emu::SuiteBuilder;
 
 fn machine(entry: &str) -> Dorado {
     let suite = SuiteBuilder::new().with_bitblt().assemble().unwrap();
-    suite
-        .machine()
-        .task_entry(TASK_EMU, entry)
-        .build()
-        .unwrap()
+    suite.machine().task_entry(TASK_EMU, entry).build().unwrap()
 }
 
 /// Runs a blit on the machine and the reference side by side; asserts the
@@ -26,7 +22,9 @@ fn check_blit(kind: BlitKind, p: BitBltParams, seed: u64) -> u64 {
     let total = 0x2000u32;
     let mut host = vec![0u16; total as usize];
     for (i, w) in host.iter_mut().enumerate() {
-        state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
         *w = (state >> 33) as Word;
         m.memory_mut().write_virt(VirtAddr::new(i as u32), *w);
     }
@@ -156,7 +154,9 @@ fn check_bit_fill(r: bitblt::BitRect, pattern: Word, seed: u64) {
     let total = 0x2000u32;
     let mut host = vec![0u16; total as usize];
     for (i, w) in host.iter_mut().enumerate() {
-        state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
         *w = (state >> 33) as Word;
         m.memory_mut().write_virt(VirtAddr::new(i as u32), *w);
     }
@@ -171,7 +171,14 @@ fn check_bit_fill(r: bitblt::BitRect, pattern: Word, seed: u64) {
 #[test]
 fn bit_fill_within_one_word() {
     check_bit_fill(
-        bitblt::BitRect { base: 0x800, pitch: 4, x: 3, y: 0, w: 9, h: 5 },
+        bitblt::BitRect {
+            base: 0x800,
+            pitch: 4,
+            x: 3,
+            y: 0,
+            w: 9,
+            h: 5,
+        },
         0xffff,
         31,
     );
@@ -180,7 +187,14 @@ fn bit_fill_within_one_word() {
 #[test]
 fn bit_fill_spanning_words_with_both_edges() {
     check_bit_fill(
-        bitblt::BitRect { base: 0x800, pitch: 8, x: 5, y: 2, w: 70, h: 4 },
+        bitblt::BitRect {
+            base: 0x800,
+            pitch: 8,
+            x: 5,
+            y: 2,
+            w: 70,
+            h: 4,
+        },
         0xffff,
         32,
     );
@@ -189,7 +203,14 @@ fn bit_fill_spanning_words_with_both_edges() {
 #[test]
 fn bit_fill_word_aligned_degenerates_to_fill() {
     check_bit_fill(
-        bitblt::BitRect { base: 0x800, pitch: 8, x: 32, y: 1, w: 48, h: 3 },
+        bitblt::BitRect {
+            base: 0x800,
+            pitch: 8,
+            x: 32,
+            y: 1,
+            w: 48,
+            h: 3,
+        },
         0x0000,
         33,
     );
@@ -200,7 +221,14 @@ fn bit_fill_with_patterned_stipple() {
     // A 50% stipple: the pattern is word-grid aligned, so edges must cut
     // it mid-pattern correctly.
     check_bit_fill(
-        bitblt::BitRect { base: 0x900, pitch: 6, x: 7, y: 0, w: 41, h: 6 },
+        bitblt::BitRect {
+            base: 0x900,
+            pitch: 6,
+            x: 7,
+            y: 0,
+            w: 41,
+            h: 6,
+        },
         0xaaaa,
         34,
     );
@@ -209,7 +237,14 @@ fn bit_fill_with_patterned_stipple() {
 #[test]
 fn bit_fill_right_edge_only() {
     check_bit_fill(
-        bitblt::BitRect { base: 0x800, pitch: 4, x: 16, y: 0, w: 24, h: 2 },
+        bitblt::BitRect {
+            base: 0x800,
+            pitch: 4,
+            x: 16,
+            y: 0,
+            w: 24,
+            h: 2,
+        },
         0xffff,
         35,
     );
@@ -218,7 +253,14 @@ fn bit_fill_right_edge_only() {
 #[test]
 fn bit_fill_full_scanline() {
     check_bit_fill(
-        bitblt::BitRect { base: 0x800, pitch: 4, x: 0, y: 0, w: 64, h: 3 },
+        bitblt::BitRect {
+            base: 0x800,
+            pitch: 4,
+            x: 0,
+            y: 0,
+            w: 64,
+            h: 3,
+        },
         0x1234,
         36,
     );
@@ -267,7 +309,10 @@ fn bit_fill_property_unaligned_edges_match_reference() {
         bitblt::fill_rect_bits(&mut m, &r, pattern);
         bitblt::reference_fill_bits(&mut host, &r, pattern);
         let got = bitblt::read_region(&m, 0, total as usize);
-        assert_eq!(got, host, "bit fill diverged for {r:?} pattern {pattern:#06x}");
+        assert_eq!(
+            got, host,
+            "bit fill diverged for {r:?} pattern {pattern:#06x}"
+        );
     });
 }
 
@@ -332,14 +377,39 @@ fn shifted_copy_property_overlap_outside_the_read_window() {
 #[test]
 fn zero_sized_rects_are_explicit_no_ops() {
     for r in [
-        BitRect { base: 0x800, pitch: 16, x: 37, y: 2, w: 0, h: 3 },
-        BitRect { base: 0x800, pitch: 16, x: 37, y: 2, w: 9, h: 0 },
-        BitRect { base: 0x800, pitch: 16, x: 0, y: 0, w: 0, h: 0 },
+        BitRect {
+            base: 0x800,
+            pitch: 16,
+            x: 37,
+            y: 2,
+            w: 0,
+            h: 3,
+        },
+        BitRect {
+            base: 0x800,
+            pitch: 16,
+            x: 37,
+            y: 2,
+            w: 9,
+            h: 0,
+        },
+        BitRect {
+            base: 0x800,
+            pitch: 16,
+            x: 0,
+            y: 0,
+            w: 0,
+            h: 0,
+        },
     ] {
-        assert!(bitblt::plan_fill_bits(&r).is_empty(), "{r:?} must plan nothing");
+        assert!(
+            bitblt::plan_fill_bits(&r).is_empty(),
+            "{r:?} must plan nothing"
+        );
         let mut m = machine("bitblt:fill");
         for i in 0..0x1000u32 {
-            m.memory_mut().write_virt(VirtAddr::new(i), (i * 31) as Word);
+            m.memory_mut()
+                .write_virt(VirtAddr::new(i), (i * 31) as Word);
         }
         let before = bitblt::read_region(&m, 0, 0x1000);
         bitblt::fill_rect_bits(&mut m, &r, 0xFFFF);
@@ -358,7 +428,14 @@ fn fill_step_planning_is_exhaustive_over_edge_alignments() {
     // overlap or leave gaps.
     for x in 0..32u16 {
         for w in 1..48u16 {
-            let r = BitRect { base: 0, pitch: 16, x, y: 0, w, h: 1 };
+            let r = BitRect {
+                base: 0,
+                pitch: 16,
+                x,
+                y: 0,
+                w,
+                h: 1,
+            };
             let mut covered = vec![false; 256];
             for step in bitblt::plan_fill_bits(&r) {
                 let (lo, hi) = match step {
@@ -372,13 +449,20 @@ fn fill_step_planning_is_exhaustive_over_edge_alignments() {
                     }
                 };
                 for bit in lo..hi {
-                    assert!(!covered[usize::from(bit)], "bit {bit} double-covered at x={x} w={w}");
+                    assert!(
+                        !covered[usize::from(bit)],
+                        "bit {bit} double-covered at x={x} w={w}"
+                    );
                     covered[usize::from(bit)] = true;
                 }
             }
             for bit in 0..256u16 {
                 let inside = bit >= x && bit < x + w;
-                assert_eq!(covered[usize::from(bit)], inside, "coverage at x={x} w={w} bit {bit}");
+                assert_eq!(
+                    covered[usize::from(bit)],
+                    inside,
+                    "coverage at x={x} w={w} bit {bit}"
+                );
             }
         }
     }

@@ -7,8 +7,8 @@ use dorado_core::{Dorado, TaskingMode};
 use dorado_emu::layout::*;
 use dorado_emu::mesa::MesaAsm;
 use dorado_emu::{mesa, SuiteBuilder};
-use dorado_io::{DiskController, DisplayController, NetworkController, RateDevice};
 use dorado_io::synth::SynthPath;
+use dorado_io::{DiskController, DisplayController, NetworkController, RateDevice};
 
 /// A busy emulator program that never halts (pure register spin).
 fn spinning_mesa() -> Vec<u8> {
@@ -104,7 +104,11 @@ fn disk_write_streams_memory_to_platter() {
     let d = m.device_mut::<DiskController>("disk").unwrap();
     // At most a startup blip while the task primes the FIFO (a real
     // controller covers this with the sector preamble).
-    assert!(d.underruns <= 2, "microcode kept the FIFO fed: {}", d.underruns);
+    assert!(
+        d.underruns <= 2,
+        "microcode kept the FIFO fed: {}",
+        d.underruns
+    );
     for i in 0..128usize {
         assert_eq!(d.platter()[64 + i], 0x7000 + i as Word, "word {i}");
     }
@@ -333,6 +337,10 @@ fn figure8_display_started_by_slow_io_control_path() {
     let _ = m.run(20_000);
     let d = m.device_mut::<DisplayController>("display").unwrap();
     assert!(d.active(), "microcode switched refresh on over slow I/O");
-    assert!(d.painted > 1000, "fast I/O then streamed pixels: {}", d.painted);
+    assert!(
+        d.painted > 1000,
+        "fast I/O then streamed pixels: {}",
+        d.painted
+    );
     assert_eq!(d.screen()[0], 0x1000, "bitmap contents reached the screen");
 }

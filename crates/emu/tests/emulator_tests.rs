@@ -458,7 +458,7 @@ fn lisp_list_sum_loop_with_jnil() {
         p.label("loop");
         p.lget(0);
         p.jnil("done"); // pops the test copy
-        // sum += car(list)
+                        // sum += car(list)
         p.lget(1);
         p.lget(0);
         p.car();

@@ -93,14 +93,8 @@ fn globals_are_shared_frame() {
         p.halt();
     });
     assert_eq!(mesa::tos(&m), 6);
-    assert_eq!(
-        m.memory_mut().read_virt(VirtAddr::new(GLOBAL_FRAME + 3)),
-        5
-    );
-    assert_eq!(
-        m.memory_mut().read_virt(VirtAddr::new(GLOBAL_FRAME + 4)),
-        6
-    );
+    assert_eq!(m.memory_mut().read_virt(VirtAddr::new(GLOBAL_FRAME + 3)), 5);
+    assert_eq!(m.memory_mut().read_virt(VirtAddr::new(GLOBAL_FRAME + 4)), 6);
 }
 
 #[test]
@@ -157,10 +151,7 @@ fn array_read_write() {
         p.halt();
     });
     assert_eq!(mesa::tos(&m), 0x1234);
-    assert_eq!(
-        m.memory_mut().read_virt(VirtAddr::new(SCRATCH + 5)),
-        0x1234
-    );
+    assert_eq!(m.memory_mut().read_virt(VirtAddr::new(SCRATCH + 5)), 0x1234);
 }
 
 #[test]

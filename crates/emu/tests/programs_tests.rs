@@ -39,7 +39,7 @@ fn sieve_of_eratosthenes_in_mesa() {
     p.liw(0x8000);
     p.and(); // sign bit
     p.jzb("next_i"); // j >= N
-    // flag[j] = 1
+                     // flag[j] = 1
     p.liw(base);
     p.ll(1);
     p.lib(1);
@@ -125,7 +125,7 @@ fn insertion_sort_in_mesa() {
     p.and();
     p.jnzb("place_drop"); // negative: a[j-1] < key, stop
     p.jzb("place"); // equal: stop (drop the zero)
-    // a[j] = a[j-1]
+                    // a[j] = a[j-1]
     p.liw(base);
     p.ll(1);
     p.liw(base);
@@ -168,7 +168,8 @@ fn insertion_sort_in_mesa() {
     expect.sort();
     for (i, want) in expect.iter().enumerate() {
         assert_eq!(
-            m.memory().read_virt(VirtAddr::new(u32::from(base) + i as u32)),
+            m.memory()
+                .read_virt(VirtAddr::new(u32::from(base) + i as u32)),
             *want,
             "slot {i}"
         );

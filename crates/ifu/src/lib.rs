@@ -536,7 +536,11 @@ mod tests {
         assert!(c.buffer_full_cycles > 0, "buffer must saturate: {c:?}");
         assert!(c.buffer_bytes_accum > 0);
         assert!(c.mean_buffer_bytes() > 0.0);
-        assert!(c.buffer_full_fraction() > 0.5, "{}", c.buffer_full_fraction());
+        assert!(
+            c.buffer_full_fraction() > 0.5,
+            "{}",
+            c.buffer_full_fraction()
+        );
         assert_eq!(c.jumps, 1);
     }
 

@@ -13,9 +13,13 @@ use std::collections::VecDeque;
 enum Mode {
     Idle,
     /// Reading `remaining` words from the platter into the FIFO.
-    Reading { remaining: usize },
+    Reading {
+        remaining: usize,
+    },
     /// Writing `remaining` words from the FIFO to the platter.
-    Writing { remaining: usize },
+    Writing {
+        remaining: usize,
+    },
 }
 
 /// Registers (relative to the controller's IOADDRESS base):
@@ -157,8 +161,7 @@ impl Device for DiskController {
                 // Two slots of slack beyond the pair: the task-switch
                 // pipeline is two cycles deep (§6.2.1), so one extra pair
                 // can land after the wakeup drops.
-                remaining >= 2
-                    && self.fifo_depth - self.fifo.len() >= self.committed + 4
+                remaining >= 2 && self.fifo_depth - self.fifo.len() >= self.committed + 4
             }
             Mode::Idle => false,
         }

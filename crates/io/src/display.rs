@@ -139,8 +139,7 @@ impl DisplayController {
 
     /// Whether a whole munch of FIFO space is free and unpromised.
     fn fifo_space(&self) -> bool {
-        self.fifo.len() + self.committed + 2 * MUNCH_WORDS
-            <= self.fifo_depth_munches * MUNCH_WORDS
+        self.fifo.len() + self.committed + 2 * MUNCH_WORDS <= self.fifo_depth_munches * MUNCH_WORDS
     }
 
     /// The microcode's field acknowledge (delivered over `IONotify`):
@@ -496,7 +495,10 @@ mod tests {
         let mut back = monitor();
         restore_image(&mut back, &img).unwrap();
         assert!(back.in_retrace());
-        assert_eq!(back.framebuffer().unwrap().hashes(), d.framebuffer().unwrap().hashes());
+        assert_eq!(
+            back.framebuffer().unwrap().hashes(),
+            d.framebuffer().unwrap().hashes()
+        );
         assert_eq!(save_image(&back), img);
     }
 

@@ -42,7 +42,10 @@ impl Framebuffer {
     /// Panics on a degenerate geometry (zero words or zero lines).
     #[must_use]
     pub fn new(width_words: u16, lines: u16) -> Self {
-        assert!(width_words > 0 && lines > 0, "degenerate framebuffer geometry");
+        assert!(
+            width_words > 0 && lines > 0,
+            "degenerate framebuffer geometry"
+        );
         Framebuffer {
             width_words,
             lines,
@@ -168,9 +171,7 @@ impl Framebuffer {
     #[must_use]
     pub fn to_pbm(&self) -> Vec<u8> {
         let mut out = Vec::new();
-        out.extend_from_slice(
-            format!("P4\n{} {}\n", self.width_pixels(), self.lines).as_bytes(),
-        );
+        out.extend_from_slice(format!("P4\n{} {}\n", self.width_pixels(), self.lines).as_bytes());
         for &w in &self.pixels {
             out.extend_from_slice(&w.to_be_bytes());
         }
@@ -261,20 +262,28 @@ impl Framebuffer {
         let width_words = r.u16()?;
         let lines = r.u16()?;
         if width_words == 0 || lines == 0 {
-            return Err(SnapError::Mismatch { what: "framebuffer geometry" });
+            return Err(SnapError::Mismatch {
+                what: "framebuffer geometry",
+            });
         }
         let pixels = r.word_seq()?;
         if pixels.len() != usize::from(width_words) * usize::from(lines) {
-            return Err(SnapError::Mismatch { what: "framebuffer surface size" });
+            return Err(SnapError::Mismatch {
+                what: "framebuffer surface size",
+            });
         }
         let cursor = r.u64()? as usize;
         if cursor >= pixels.len() {
-            return Err(SnapError::Mismatch { what: "framebuffer cursor" });
+            return Err(SnapError::Mismatch {
+                what: "framebuffer cursor",
+            });
         }
         let fields = r.u64()?;
         let n = r.len()?;
         if n > HASH_LOG_LIMIT {
-            return Err(SnapError::Mismatch { what: "framebuffer hash log" });
+            return Err(SnapError::Mismatch {
+                what: "framebuffer hash log",
+            });
         }
         let mut hash_log = Vec::with_capacity(n);
         for _ in 0..n {

@@ -245,13 +245,21 @@ impl Snapshot for InputDevice {
         let kind = match r.u8()? {
             0 => InputKind::Keyboard,
             1 => InputKind::Mouse,
-            _ => return Err(SnapError::Mismatch { what: "input device kind" }),
+            _ => {
+                return Err(SnapError::Mismatch {
+                    what: "input device kind",
+                })
+            }
         };
         if kind != self.kind {
-            return Err(SnapError::Mismatch { what: "input device kind" });
+            return Err(SnapError::Mismatch {
+                what: "input device kind",
+            });
         }
         if r.u8()? != self.task.number() {
-            return Err(SnapError::Mismatch { what: "input device task" });
+            return Err(SnapError::Mismatch {
+                what: "input device task",
+            });
         }
         self.clock = r.u64()?;
         let n = r.len()?;
@@ -269,7 +277,9 @@ impl Snapshot for InputDevice {
             self.fifo.push_back((word, at));
         }
         if self.fifo.len() > FIFO_WORDS {
-            return Err(SnapError::Mismatch { what: "input FIFO depth" });
+            return Err(SnapError::Mismatch {
+                what: "input FIFO depth",
+            });
         }
         self.committed = r.u64()? as usize;
         self.delivered = r.u64()?;

@@ -219,7 +219,10 @@ mod tests {
     #[test]
     fn const_folding_arithmetic() {
         assert_eq!(bin(BinOp::Add, int(65535), int(2)).const_value(), Some(1));
-        assert_eq!(bin(BinOp::Mul, int(300), int(300)).const_value(), Some(300u16.wrapping_mul(300)));
+        assert_eq!(
+            bin(BinOp::Mul, int(300), int(300)).const_value(),
+            Some(300u16.wrapping_mul(300))
+        );
         assert_eq!(bin(BinOp::Div, int(7), int(0)).const_value(), None);
     }
 
@@ -238,8 +241,17 @@ mod tests {
 
     #[test]
     fn logical_unary_folds() {
-        assert_eq!(Expr::Unary(UnOp::LNot, Box::new(int(0)), Span::default()).const_value(), Some(1));
-        assert_eq!(Expr::Unary(UnOp::LNot, Box::new(int(7)), Span::default()).const_value(), Some(0));
-        assert_eq!(Expr::Unary(UnOp::Neg, Box::new(int(1)), Span::default()).const_value(), Some(0xffff));
+        assert_eq!(
+            Expr::Unary(UnOp::LNot, Box::new(int(0)), Span::default()).const_value(),
+            Some(1)
+        );
+        assert_eq!(
+            Expr::Unary(UnOp::LNot, Box::new(int(7)), Span::default()).const_value(),
+            Some(0)
+        );
+        assert_eq!(
+            Expr::Unary(UnOp::Neg, Box::new(int(1)), Span::default()).const_value(),
+            Some(0xffff)
+        );
     }
 }

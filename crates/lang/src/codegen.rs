@@ -176,7 +176,11 @@ impl Gen {
                     UnOp::LNot => self.flag_from_jump(true),
                 }
             }
-            RExpr::Shift { left, amount, operand } => {
+            RExpr::Shift {
+                left,
+                amount,
+                operand,
+            } => {
                 self.expr(operand, frame);
                 if *amount > 0 {
                     let ctl = if *left {

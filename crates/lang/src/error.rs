@@ -25,7 +25,9 @@ impl CompileError {
     pub fn render(&self, src: &str) -> String {
         let (line, col) = self.span.line_col(src);
         let text = src.lines().nth(line - 1).unwrap_or("");
-        let width = (self.span.end - self.span.start).max(1).min(text.len() + 1 - (col - 1).min(text.len()));
+        let width = (self.span.end - self.span.start)
+            .max(1)
+            .min(text.len() + 1 - (col - 1).min(text.len()));
         format!(
             "{line}:{col}: error: {}\n  {text}\n  {}{}",
             self.msg,

@@ -119,7 +119,10 @@ pub fn lex(src: &str) -> Result<Vec<Token>> {
                 _ => {
                     return Err(CompileError::new(
                         Span::new(start, start + 1),
-                        format!("unexpected character `{}`", src[start..].chars().next().unwrap()),
+                        format!(
+                            "unexpected character `{}`",
+                            src[start..].chars().next().unwrap()
+                        ),
                     ));
                 }
             },

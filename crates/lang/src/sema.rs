@@ -231,7 +231,10 @@ impl FrameCtx {
         let mut top = HashMap::new();
         for (i, p) in params.iter().enumerate() {
             if top.insert(p.clone(), i as u8).is_some() {
-                return Err(CompileError::new(span, format!("duplicate parameter `{p}`")));
+                return Err(CompileError::new(
+                    span,
+                    format!("duplicate parameter `{p}`"),
+                ));
             }
         }
         let next = params.len() as u8;
@@ -297,7 +300,10 @@ fn resolve_var(name: &str, span: Span, ctx: &Ctx<'_>, frame: &FrameCtx) -> Resul
     if let Some(&slot) = ctx.globals.get(name) {
         return Ok(Place::Global(slot));
     }
-    Err(CompileError::new(span, format!("unknown variable `{name}`")))
+    Err(CompileError::new(
+        span,
+        format!("unknown variable `{name}`"),
+    ))
 }
 
 fn lower_expr(e: &Expr, ctx: &Ctx<'_>, frame: &mut FrameCtx) -> Result<RExpr> {
@@ -329,7 +335,9 @@ fn lower_expr(e: &Expr, ctx: &Ctx<'_>, frame: &mut FrameCtx) -> Result<RExpr> {
     match e {
         Expr::Int(v, _) => Ok(RExpr::Const(*v)),
         Expr::Var(name, span) => Ok(RExpr::Load(resolve_var(name, *span, ctx, frame)?)),
-        Expr::Unary(op, inner, _) => Ok(RExpr::Unary(*op, Box::new(lower_expr(inner, ctx, frame)?))),
+        Expr::Unary(op, inner, _) => {
+            Ok(RExpr::Unary(*op, Box::new(lower_expr(inner, ctx, frame)?)))
+        }
         Expr::Binary(op, lhs, rhs, _) => {
             if matches!(op, BinOp::Mul | BinOp::Div | BinOp::Rem) {
                 frame.reserve_scratch()?;
@@ -381,7 +389,12 @@ fn check_arity(name: &str, want: usize, got: usize, span: Span) -> Result<()> {
     }
 }
 
-fn lower_block(b: &Block, ctx: &Ctx<'_>, frame: &mut FrameCtx, in_proc: bool) -> Result<Vec<RStmt>> {
+fn lower_block(
+    b: &Block,
+    ctx: &Ctx<'_>,
+    frame: &mut FrameCtx,
+    in_proc: bool,
+) -> Result<Vec<RStmt>> {
     frame.enter();
     let out = lower_stmts(&b.stmts, ctx, frame, in_proc, false);
     frame.exit();
@@ -407,7 +420,10 @@ fn lower_stmts(
                 // Resolve the initializer before the name enters scope:
                 // `let x = x;` refers to the outer `x`.
                 let slot = frame.declare(name, *span)?;
-                out.push(RStmt::new(*span, RStmtKind::Store(Place::Local(slot), value)));
+                out.push(RStmt::new(
+                    *span,
+                    RStmtKind::Store(Place::Local(slot), value),
+                ));
             }
             Stmt::Assign(name, e, span) => {
                 let place = resolve_var(name, *span, ctx, frame)?;
@@ -499,16 +515,28 @@ mod tests {
     #[test]
     fn locals_get_sequential_slots() {
         let p = lower("let a = 1; let b = 2; a + b;");
-        assert!(matches!(p.main.body[0].kind, RStmtKind::Store(Place::Local(0), _)));
-        assert!(matches!(p.main.body[1].kind, RStmtKind::Store(Place::Local(1), _)));
+        assert!(matches!(
+            p.main.body[0].kind,
+            RStmtKind::Store(Place::Local(0), _)
+        ));
+        assert!(matches!(
+            p.main.body[1].kind,
+            RStmtKind::Store(Place::Local(1), _)
+        ));
         assert_eq!(p.main.frame_size, 2);
     }
 
     #[test]
     fn sibling_blocks_share_slots() {
         let p = lower("{ let a = 1; a; } { let b = 2; b; }");
-        assert!(matches!(p.main.body[0].kind, RStmtKind::Store(Place::Local(0), _)));
-        assert!(matches!(p.main.body[2].kind, RStmtKind::Store(Place::Local(0), _)));
+        assert!(matches!(
+            p.main.body[0].kind,
+            RStmtKind::Store(Place::Local(0), _)
+        ));
+        assert!(matches!(
+            p.main.body[2].kind,
+            RStmtKind::Store(Place::Local(0), _)
+        ));
     }
 
     #[test]
@@ -548,7 +576,10 @@ mod tests {
     #[test]
     fn constants_fold() {
         let p = lower("let x = 2 * 3 + 4;");
-        assert!(matches!(p.main.body[0].kind, RStmtKind::Store(_, RExpr::Const(10))));
+        assert!(matches!(
+            p.main.body[0].kind,
+            RStmtKind::Store(_, RExpr::Const(10))
+        ));
         // A folded multiply needs no scratch slot.
         assert_eq!(p.main.scratch, None);
     }
@@ -586,16 +617,28 @@ mod tests {
 
     #[test]
     fn duplicates_are_reported() {
-        assert!(lower_err("let a = 1; let a = 2;").msg.contains("already declared"));
-        assert!(lower_err("global g; global g;").msg.contains("duplicate global"));
-        assert!(lower_err("proc f() {} proc f() {}").msg.contains("duplicate procedure"));
-        assert!(lower_err("proc f(x, x) {}").msg.contains("duplicate parameter"));
+        assert!(lower_err("let a = 1; let a = 2;")
+            .msg
+            .contains("already declared"));
+        assert!(lower_err("global g; global g;")
+            .msg
+            .contains("duplicate global"));
+        assert!(lower_err("proc f() {} proc f() {}")
+            .msg
+            .contains("duplicate procedure"));
+        assert!(lower_err("proc f(x, x) {}")
+            .msg
+            .contains("duplicate parameter"));
     }
 
     #[test]
     fn builtins_cannot_be_redefined_or_misused() {
-        assert!(lower_err("proc peek(a) {}").msg.contains("redefines a builtin"));
-        assert!(lower_err("let v = poke(1, 2);").msg.contains("as a statement"));
+        assert!(lower_err("proc peek(a) {}")
+            .msg
+            .contains("redefines a builtin"));
+        assert!(lower_err("let v = poke(1, 2);")
+            .msg
+            .contains("as a statement"));
         assert!(lower_err("peek(1, 2);").msg.contains("takes 1 argument(s)"));
     }
 

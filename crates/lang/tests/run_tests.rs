@@ -36,7 +36,10 @@ fn multiply_divide_remainder() {
     assert_eq!(eval("let a = 1234; let b = 56; a / b;"), 1234 / 56);
     assert_eq!(eval("let a = 1234; let b = 56; a % b;"), 1234 % 56);
     // Wrapping multiply keeps the low word.
-    assert_eq!(eval("let a = 300; let b = 300; a * b;"), 300u16.wrapping_mul(300));
+    assert_eq!(
+        eval("let a = 300; let b = 300; a * b;"),
+        300u16.wrapping_mul(300)
+    );
 }
 
 #[test]
@@ -74,13 +77,17 @@ fn logical_operators_short_circuit() {
     assert_eq!(eval("let a = 0; let b = 0; a || b;"), 0);
     // RHS with a side effect must not run when short-circuited.
     assert_eq!(
-        eval("global hits = 0; proc bump() { hits = hits + 1; return 1; }\n\
-              let r = 0 && bump(); hits;"),
+        eval(
+            "global hits = 0; proc bump() { hits = hits + 1; return 1; }\n\
+              let r = 0 && bump(); hits;"
+        ),
         0
     );
     assert_eq!(
-        eval("global hits = 0; proc bump() { hits = hits + 1; return 1; }\n\
-              let r = 1 || bump(); hits;"),
+        eval(
+            "global hits = 0; proc bump() { hits = hits + 1; return 1; }\n\
+              let r = 1 || bump(); hits;"
+        ),
         0
     );
 }
@@ -231,5 +238,9 @@ fn cycle_costs_are_sane() {
     let mut m = build_mesa(&bytes).expect("machine build");
     let out = m.run(10_000);
     assert!(out.halted());
-    assert!(m.cycles() < 200, "trivial program took {} cycles", m.cycles());
+    assert!(
+        m.cycles() < 200,
+        "trivial program took {} cycles",
+        m.cycles()
+    );
 }

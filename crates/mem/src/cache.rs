@@ -136,10 +136,7 @@ impl Cache {
     /// Installs the munch containing `vaddr`, evicting the LRU victim of
     /// its set.  Returns the eviction if the victim was dirty.
     pub fn fill(&mut self, vaddr: VirtAddr, data: [Word; MUNCH_WORDS]) -> Option<Eviction> {
-        debug_assert!(
-            self.find(vaddr).is_none(),
-            "fill of already-resident munch"
-        );
+        debug_assert!(self.find(vaddr).is_none(), "fill of already-resident munch");
         let set = self.set_of(vaddr);
         let victim = self
             .line_range(set)
@@ -180,10 +177,13 @@ impl Cache {
 
     /// Iterates over all resident dirty munches (for flushes in tests).
     pub fn dirty_munches(&self) -> impl Iterator<Item = Eviction> + '_ {
-        self.lines.iter().filter(|l| l.valid && l.dirty).map(|l| Eviction {
-            vaddr: VirtAddr::new(l.tag),
-            data: l.data,
-        })
+        self.lines
+            .iter()
+            .filter(|l| l.valid && l.dirty)
+            .map(|l| Eviction {
+                vaddr: VirtAddr::new(l.tag),
+                data: l.data,
+            })
     }
 }
 

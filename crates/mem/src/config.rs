@@ -50,7 +50,10 @@ impl MemConfig {
             "cache words must divide into assoc × munch"
         );
         let sets = self.cache_words / (self.assoc * MUNCH_WORDS);
-        assert!(sets.is_power_of_two(), "cache set count must be a power of two");
+        assert!(
+            sets.is_power_of_two(),
+            "cache set count must be a power of two"
+        );
         assert!(self.hit_latency >= 1, "hit latency must be at least 1");
         assert!(
             self.miss_penalty > self.hit_latency,

@@ -27,7 +27,10 @@ impl Map {
     ///
     /// Panics if `page_words` is not a power of two.
     pub fn identity(storage_words: u32, page_words: u32) -> Self {
-        assert!(page_words.is_power_of_two(), "page size must be a power of two");
+        assert!(
+            page_words.is_power_of_two(),
+            "page size must be a power of two"
+        );
         Map {
             page_words,
             storage_words,
@@ -59,9 +62,7 @@ impl Map {
             Some(None) => return None,
             None => vpage, // identity
         };
-        let raddr = rpage
-            .checked_mul(self.page_words)?
-            .checked_add(offset)?;
+        let raddr = rpage.checked_mul(self.page_words)?.checked_add(offset)?;
         if raddr < self.storage_words {
             Some(RealAddr(raddr))
         } else {

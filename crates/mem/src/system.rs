@@ -287,12 +287,7 @@ impl MemorySystem {
     ///
     /// Holds when the store misses while storage is mid-cycle.  A hitting
     /// store completes without stalling the task.
-    pub fn start_store(
-        &mut self,
-        task: TaskId,
-        vaddr: VirtAddr,
-        value: Word,
-    ) -> Result<(), Hold> {
+    pub fn start_store(&mut self, task: TaskId, vaddr: VirtAddr, value: Word) -> Result<(), Hold> {
         let _ = task;
         self.counters.cache.processor.refs += 1;
         if self.cache.write(vaddr, value) {
@@ -460,11 +455,7 @@ impl MemorySystem {
     /// # Errors
     ///
     /// Holds while storage is mid-cycle.
-    pub fn fast_store(
-        &mut self,
-        vaddr: VirtAddr,
-        munch: &[Word; MUNCH_WORDS],
-    ) -> Result<(), Hold> {
+    pub fn fast_store(&mut self, vaddr: VirtAddr, munch: &[Word; MUNCH_WORDS]) -> Result<(), Hold> {
         self.reserve_storage()?;
         self.counters.storage.fast_stores += 1;
         self.counters.cache.fast_io.refs += 1;
@@ -780,7 +771,11 @@ mod tests {
         let _ = run_until_data(&mut m, T0);
         let refs_before = m.counters().storage_refs();
         m.start_store(T0, VirtAddr::new(0), 0xaaaa).unwrap();
-        assert_eq!(m.counters().storage_refs(), refs_before, "write-back defers");
+        assert_eq!(
+            m.counters().storage_refs(),
+            refs_before,
+            "write-back defers"
+        );
         assert_eq!(m.read_virt(VirtAddr::new(0)), 0xaaaa);
     }
 
@@ -852,10 +847,7 @@ mod tests {
         let mut m = mem();
         m.set_base_reg(BaseRegId::new(3), 0x1000);
         assert_eq!(m.base_reg(BaseRegId::new(3)), 0x1000);
-        assert_eq!(
-            m.resolve(BaseRegId::new(3), 0x34),
-            VirtAddr::new(0x1034)
-        );
+        assert_eq!(m.resolve(BaseRegId::new(3), 0x34), VirtAddr::new(0x1034));
         // Extra bits beyond 28 are dropped.
         m.set_base_reg(BaseRegId::new(4), 0xf000_0001);
         assert_eq!(m.base_reg(BaseRegId::new(4)), 1);
@@ -970,11 +962,13 @@ mod tests {
         for _ in 0..10 {
             m.tick();
         }
-        m.fast_store(VirtAddr::new(0x40), &[1; MUNCH_WORDS]).unwrap();
+        m.fast_store(VirtAddr::new(0x40), &[1; MUNCH_WORDS])
+            .unwrap();
         for _ in 0..MemConfig::default().storage_cycle {
             m.tick();
         }
-        m.fast_store(VirtAddr::new(0x800), &[2; MUNCH_WORDS]).unwrap();
+        m.fast_store(VirtAddr::new(0x800), &[2; MUNCH_WORDS])
+            .unwrap();
         let c = m.counters().cache;
         assert_eq!((c.fast_io.refs, c.fast_io.hits), (2, 1));
         assert_eq!(m.counters().storage.fast_stores, 2);

@@ -93,7 +93,11 @@ fn writeback_pressure_doubles_storage_traffic() {
         let _ = drain(&mut m, T0);
     }
     assert_eq!(m.counters().writebacks() - wb_before, 4);
-    assert_eq!(m.counters().storage_refs() - refs_before, 8, "fill + WB each");
+    assert_eq!(
+        m.counters().storage_refs() - refs_before,
+        8,
+        "fill + WB each"
+    );
     // The dirty data survived.
     for k in 0..4u32 {
         assert_eq!(m.read_virt(VirtAddr::new(k * 16)), 0xaaaa);

@@ -46,14 +46,17 @@ fn build(name: &str) -> Result<SuiteBuilder, String> {
             .with_network(),
         "scenario" => SuiteBuilder::new().with_scenario().with_bitblt(),
         "everything" => SuiteBuilder::everything(),
-        other => return Err(format!("unknown suite `{other}` (expected one of {SUITES:?})")),
+        other => {
+            return Err(format!(
+                "unknown suite `{other}` (expected one of {SUITES:?})"
+            ))
+        }
     })
 }
 
 fn lint_lang(path: &str, verbose: bool) -> Result<(usize, usize), String> {
     let src = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-    let (bytes, map) =
-        dorado_lang::compile_with_map(&src).map_err(|e| format!("{path}: {e}"))?;
+    let (bytes, map) = dorado_lang::compile_with_map(&src).map_err(|e| format!("{path}: {e}"))?;
     let diags = dorado_ulint::bytecode::lint_bytecode(&bytes);
     let mut errors = 0;
     let mut warnings = 0;
@@ -64,7 +67,10 @@ fn lint_lang(path: &str, verbose: bool) -> Result<(usize, usize), String> {
             Severity::Info if !verbose => continue,
             Severity::Info => {}
         }
-        print!("{}", dorado_ulint::bytecode::render_with_source(d, &src, &map));
+        print!(
+            "{}",
+            dorado_ulint::bytecode::render_with_source(d, &src, &map)
+        );
     }
     println!(
         "{path}: {} bytecode bytes, {} finding(s) ({errors} error(s), {warnings} warning(s))",
@@ -113,7 +119,10 @@ fn main() -> ExitCode {
         .map(str::to_string)
         .collect();
     if !allowed.is_empty() {
-        println!("allowed passes (DORADO_ULINT_ALLOW): {}", allowed.join(", "));
+        println!(
+            "allowed passes (DORADO_ULINT_ALLOW): {}",
+            allowed.join(", ")
+        );
     }
     if suites.is_empty() && lang.is_none() {
         suites = SUITES.iter().map(|s| s.to_string()).collect();

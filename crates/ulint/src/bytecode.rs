@@ -53,8 +53,9 @@ impl ByteDiagnostic {
 fn fixed_delta(op: Op) -> Option<i32> {
     Some(match op {
         Op::Lib | Op::Liw | Op::Ll | Op::Lg | Op::Dup => 1,
-        Op::Sl | Op::Sg | Op::Drop | Op::Add | Op::Sub | Op::And | Op::Or | Op::Xor
-        | Op::ARead => -1,
+        Op::Sl | Op::Sg | Op::Drop | Op::Add | Op::Sub | Op::And | Op::Or | Op::Xor | Op::ARead => {
+            -1
+        }
         Op::Neg | Op::Inc | Op::Rf | Op::Shift | Op::Mul | Op::Div => 0,
         Op::Wf => -2,
         Op::AWrite => -3,
@@ -163,9 +164,25 @@ pub fn lint_bytecode(bytes: &[u8]) -> Vec<ByteDiagnostic> {
         };
         let pops = match op {
             Op::Lib | Op::Liw | Op::Ll | Op::Lg | Op::Jb | Op::Halt => 0,
-            Op::Sl | Op::Sg | Op::Neg | Op::Inc | Op::Jzb | Op::Jnzb | Op::Rf | Op::Shift
-            | Op::Dup | Op::Drop | Op::Ret => 1,
-            Op::Add | Op::Sub | Op::And | Op::Or | Op::Xor | Op::Wf | Op::ARead | Op::Mul
+            Op::Sl
+            | Op::Sg
+            | Op::Neg
+            | Op::Inc
+            | Op::Jzb
+            | Op::Jnzb
+            | Op::Rf
+            | Op::Shift
+            | Op::Dup
+            | Op::Drop
+            | Op::Ret => 1,
+            Op::Add
+            | Op::Sub
+            | Op::And
+            | Op::Or
+            | Op::Xor
+            | Op::Wf
+            | Op::ARead
+            | Op::Mul
             | Op::Div => 2,
             Op::AWrite => 3,
             Op::Call => i32::from(bytes[at + 1]),
@@ -245,7 +262,10 @@ pub fn render_with_source(
             let line = &src[line_start..line_end];
             let col = start - line_start;
             let width = end.min(line_end).saturating_sub(start).max(1);
-            out.push_str(&format!("  --> line {line_no} (bytecode offset {})\n", d.offset));
+            out.push_str(&format!(
+                "  --> line {line_no} (bytecode offset {})\n",
+                d.offset
+            ));
             out.push_str(&format!("   | {line}\n"));
             out.push_str(&format!("   | {}{}\n", " ".repeat(col), "^".repeat(width)));
         }

@@ -15,8 +15,8 @@
 
 use dorado_base::{BaseRegId, HoldCause, MicroAddr, TaskId, VirtAddr, Word, MICROSTORE_SIZE};
 use dorado_emu::layout::{
-    BR_DISK, BR_DISPLAY, BR_NET, IOA_DISK, IOA_DISPLAY, IOA_NET, TASK_DISK, TASK_DISPLAY,
-    TASK_EMU, TASK_NET,
+    BR_DISK, BR_DISPLAY, BR_NET, IOA_DISK, IOA_DISPLAY, IOA_NET, TASK_DISK, TASK_DISPLAY, TASK_EMU,
+    TASK_NET,
 };
 use dorado_emu::mesa::{self, MesaAsm};
 use dorado_emu::SuiteBuilder;
@@ -155,7 +155,8 @@ pub fn run_workstation(max_cycles: u64) -> Result<DifferentialOutcome, String> {
     mesa::configure_ifu(&mut m);
     mesa::init_runtime(&mut m);
     mesa::load_program(&mut m, &program);
-    m.memory_mut().set_base_reg(BaseRegId::new(BR_DISPLAY), 0x2000);
+    m.memory_mut()
+        .set_base_reg(BaseRegId::new(BR_DISPLAY), 0x2000);
     m.memory_mut().set_base_reg(BaseRegId::new(BR_DISK), 0x3000);
     m.memory_mut().set_base_reg(BaseRegId::new(BR_NET), 0x3800);
     for i in 0..0x1000u32 {

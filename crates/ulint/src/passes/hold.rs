@@ -240,7 +240,9 @@ impl Pass for HoldHazard {
             }
             // Bypassed same-cycle RAW hazards: no Hold, by §4.2.
             for &p in &node.preds {
-                let Some(prev) = ctx.cfg.node(p) else { continue };
+                let Some(prev) = ctx.cfg.node(p) else {
+                    continue;
+                };
                 if let Some(what) = bypassed_pair(prev.word, node.word) {
                     out.push(
                         Diagnostic::new(

@@ -102,9 +102,7 @@ pub fn wasted_slots(ctx: &PassCtx<'_>) -> Vec<WastedSlot> {
                 }
                 let shadowed = node.preds.iter().any(|&p| {
                     ctx.cfg.node(p).is_some_and(|n| {
-                        n.word
-                            .asel()
-                            .is_ok_and(dorado_asm::ASel::starts_memory_ref)
+                        n.word.asel().is_ok_and(dorado_asm::ASel::starts_memory_ref)
                     })
                 });
                 if shadowed {

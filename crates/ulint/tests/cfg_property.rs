@@ -64,9 +64,9 @@ fn cfg_edges_are_consistent() {
         let cfg = Cfg::build(&placed);
         for node in cfg.iter() {
             for &s in &node.succs {
-                let succ = cfg
-                    .node(s)
-                    .unwrap_or_else(|| panic!("seed {seed}: edge {} -> {s} leaves the graph", node.addr));
+                let succ = cfg.node(s).unwrap_or_else(|| {
+                    panic!("seed {seed}: edge {} -> {s} leaves the graph", node.addr)
+                });
                 assert!(
                     succ.preds.contains(&node.addr),
                     "seed {seed}: {} -> {s} missing inverse pred edge",
@@ -74,9 +74,9 @@ fn cfg_edges_are_consistent() {
                 );
             }
             for &p in &node.preds {
-                let pred = cfg
-                    .node(p)
-                    .unwrap_or_else(|| panic!("seed {seed}: pred {p} of {} not in graph", node.addr));
+                let pred = cfg.node(p).unwrap_or_else(|| {
+                    panic!("seed {seed}: pred {p} of {} not in graph", node.addr)
+                });
                 assert!(
                     pred.succs.contains(&node.addr),
                     "seed {seed}: pred edge {p} -> {} has no forward edge",

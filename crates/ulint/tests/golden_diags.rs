@@ -151,7 +151,12 @@ fn task_safety_count_clobbered_across_tasks() {
     a.label("boot");
     a.emit(Inst::new().ff(FfOp::ReadCount).load_t().goto_("boot"));
     a.label("disk:init");
-    a.emit(Inst::new().ff(FfOp::LoadCountImm(3)).io_block().goto_("disk:init"));
+    a.emit(
+        Inst::new()
+            .ff(FfOp::LoadCountImm(3))
+            .io_block()
+            .goto_("disk:init"),
+    );
     let placed = a.place().unwrap();
     let out = rendered(&placed, Severity::Error);
     assert_golden(

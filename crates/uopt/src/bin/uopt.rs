@@ -46,7 +46,11 @@ fn build(name: &str) -> Result<SuiteBuilder, String> {
             .with_network(),
         "scenario" => SuiteBuilder::new().with_scenario().with_bitblt(),
         "everything" => SuiteBuilder::everything(),
-        other => return Err(format!("unknown suite `{other}` (expected one of {SUITES:?})")),
+        other => {
+            return Err(format!(
+                "unknown suite `{other}` (expected one of {SUITES:?})"
+            ))
+        }
     })
 }
 
@@ -92,7 +96,10 @@ fn main() -> ExitCode {
             }
         };
         if json {
-            println!("{{\"suite\":\"{name}\",\"report\":{}}}", opt.report.to_json());
+            println!(
+                "{{\"suite\":\"{name}\",\"report\":{}}}",
+                opt.report.to_json()
+            );
         } else {
             println!("{name}: {}", opt.report);
         }

@@ -93,9 +93,7 @@ fn list_schedule(movable: &[&Inst], fx: &[Effects]) -> Vec<usize> {
     let mut done = vec![false; n];
     let mut last_start: Option<usize> = None;
     while order.len() < n {
-        let ready: Vec<usize> = (0..n)
-            .filter(|&i| !done[i] && preds_left[i] == 0)
-            .collect();
+        let ready: Vec<usize> = (0..n).filter(|&i| !done[i] && preds_left[i] == 0).collect();
         let slot = order.len();
         let window_open = last_start.is_some_and(|s| slot - s >= LATENCY);
         let pick = ready
@@ -140,12 +138,7 @@ struct Run {
 /// Schedules every safe run in `items`, consulting `placed`/`an` for
 /// reachability and CFG shape.  Rewrites `items` in place and records
 /// what moved (and what was refused, and why) in `report`.
-pub fn schedule(
-    items: &mut [Item],
-    placed: &PlacedProgram,
-    an: &Analyses,
-    report: &mut OptReport,
-) {
+pub fn schedule(items: &mut [Item], placed: &PlacedProgram, an: &Analyses, report: &mut OptReport) {
     let runs = find_runs(items, placed, an, report);
     for run in runs {
         let movable: Vec<&Inst> = run

@@ -184,7 +184,8 @@ pub fn candidate(
 
 fn note_fill(report: &mut OptReport, at: MicroAddr, target: &str) {
     report.relays_filled += 1;
-    report
-        .notes
-        .push((at, format!("uopt slotfill: relay filled with a copy of `{target}`")));
+    report.notes.push((
+        at,
+        format!("uopt slotfill: relay filled with a copy of `{target}`"),
+    ));
 }

@@ -22,7 +22,12 @@ fn zero_rewrite_round_trip_is_byte_identical() {
     let program = opportunity_free();
     let baseline = program.place().expect("places");
     let opt = optimize(&program).expect("optimizes");
-    assert_eq!(opt.report.rewrites(), 0, "nothing to rewrite: {}", opt.report);
+    assert_eq!(
+        opt.report.rewrites(),
+        0,
+        "nothing to rewrite: {}",
+        opt.report
+    );
     for raw in 0..4096u16 {
         let at = MicroAddr::new(raw);
         assert_eq!(

@@ -130,9 +130,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let rect = bitblt::BitRect {
         base: SCREEN as Word,
         pitch: PITCH,
-        x: 9,      // starts mid-word
+        x: 9, // starts mid-word
         y: 12,
-        w: 37,     // ends mid-word two words later
+        w: 37, // ends mid-word two words later
         h: 3,
     };
     let before = m.stats().cycles;

@@ -23,7 +23,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     println!("\nsynthetic programs (statistics like real microcode), by size:");
-    println!("  {:>6} {:>7} {:>7} {:>7} {:>9} {:>8}", "insts", "relays", "waste", "rounds", "footprint", "util%");
+    println!(
+        "  {:>6} {:>7} {:>7} {:>7} {:>9} {:>8}",
+        "insts", "relays", "waste", "rounds", "footprint", "util%"
+    );
     for n in [500, 1000, 2000, 3000, 3400] {
         let p = random_program(7, n, &SynthProfile::default());
         let placed = p.place()?;

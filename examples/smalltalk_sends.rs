@@ -47,11 +47,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let class_addr = SCRATCH;
     let obj_addr = SCRATCH + 0x40;
     let mut m = build_smalltalk(&bytes)?;
-    smalltalk::define_class(
-        &mut m,
-        class_addr,
-        &[(1, m_x), (2, m_y), (3, m_manhattan)],
-    );
+    smalltalk::define_class(&mut m, class_addr, &[(1, m_x), (2, m_y), (3, m_manhattan)]);
     smalltalk::define_object(&mut m, obj_addr, class_addr, &[30, 12]);
     m.memory_mut()
         .write_virt(VirtAddr::new(GLOBAL_FRAME), obj_addr as Word);

@@ -23,8 +23,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--trace" => {
-                trace_path =
-                    Some(args.next().ok_or("--trace needs a file argument")?);
+                trace_path = Some(args.next().ok_or("--trace needs a file argument")?);
             }
             s if s.starts_with("--trace=") => {
                 let path = &s["--trace=".len()..];
@@ -110,7 +109,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     mesa::init_runtime(&mut m);
     mesa::load_program(&mut m, &program);
     // Buffer regions for the device tasks.
-    m.memory_mut().set_base_reg(BaseRegId::new(BR_DISPLAY), 0x2000);
+    m.memory_mut()
+        .set_base_reg(BaseRegId::new(BR_DISPLAY), 0x2000);
     m.memory_mut().set_base_reg(BaseRegId::new(BR_DISK), 0x3000);
     m.memory_mut().set_base_reg(BaseRegId::new(BR_NET), 0x3800);
     // A visible bitmap for the display to show.
@@ -124,7 +124,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     let outcome = m.run(2_000_000);
-    println!("\nfib(15) = {} (expected 610); outcome {outcome:?}", mesa::tos(&m));
+    println!(
+        "\nfib(15) = {} (expected 610); outcome {outcome:?}",
+        mesa::tos(&m)
+    );
 
     // The §7 tables, straight from the metrics registry.
     println!("\n{}", m.report());

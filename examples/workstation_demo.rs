@@ -34,7 +34,10 @@ fn surface(report: &ScenarioReport) -> Framebuffer {
 /// A terminal-width rendering: each character cell covers 2×2 pixels.
 fn ascii_preview(report: &ScenarioReport) -> String {
     let fb = surface(report);
-    let (w, h) = (usize::from(report.width_words) * 16, usize::from(report.lines));
+    let (w, h) = (
+        usize::from(report.width_words) * 16,
+        usize::from(report.lines),
+    );
     let mut out = String::new();
     for y in (0..h).step_by(2) {
         for x in (0..w).step_by(2) {
@@ -89,10 +92,17 @@ fn check_fixtures(dir: &Path, reports: &[ScenarioReport]) -> Result<bool, std::i
         let path = dir.join(format!("{}.hashes", report.name));
         if bless {
             let mut out = String::new();
-            writeln!(out, "# Golden per-field CRC64 hashes for scenario `{}`.", report.name)
-                .unwrap();
-            writeln!(out, "# Regenerate with DORADO_BLESS_FRAMES=1 (see tests/golden_frames.rs).")
-                .unwrap();
+            writeln!(
+                out,
+                "# Golden per-field CRC64 hashes for scenario `{}`.",
+                report.name
+            )
+            .unwrap();
+            writeln!(
+                out,
+                "# Regenerate with DORADO_BLESS_FRAMES=1 (see tests/golden_frames.rs)."
+            )
+            .unwrap();
             for h in &report.frame_hashes {
                 writeln!(out, "{h:016x}").unwrap();
             }
@@ -146,14 +156,18 @@ fn main() -> ExitCode {
     let mut dump_dir: Option<String> = None;
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--check" => check_dir = args.next().or_else(|| {
-                eprintln!("--check needs a directory argument");
-                std::process::exit(2);
-            }),
-            "--dump" => dump_dir = args.next().or_else(|| {
-                eprintln!("--dump needs a directory argument");
-                std::process::exit(2);
-            }),
+            "--check" => {
+                check_dir = args.next().or_else(|| {
+                    eprintln!("--check needs a directory argument");
+                    std::process::exit(2);
+                })
+            }
+            "--dump" => {
+                dump_dir = args.next().or_else(|| {
+                    eprintln!("--dump needs a directory argument");
+                    std::process::exit(2);
+                })
+            }
             other => {
                 eprintln!("unknown argument `{other}` (expected --check DIR or --dump DIR)");
                 return ExitCode::from(2);

@@ -50,8 +50,8 @@ pub use dorado_cluster as cluster;
 pub use dorado_core as core;
 pub use dorado_emu as emu;
 pub use dorado_ifu as ifu;
-pub use dorado_lang as lang;
 pub use dorado_io as io;
+pub use dorado_lang as lang;
 pub use dorado_mem as mem;
 pub use dorado_ulint as ulint;
 pub use dorado_uopt as uopt;

@@ -199,7 +199,11 @@ fn e13_hold_cycles_become_io_work() {
         p.sl(0);
         p.jb("top");
         let bytes = p.assemble().unwrap();
-        let suite = SuiteBuilder::new().with_mesa().with_display().assemble().unwrap();
+        let suite = SuiteBuilder::new()
+            .with_mesa()
+            .with_display()
+            .assemble()
+            .unwrap();
         let mut b = suite.machine().task_entry(TASK_EMU, "mesa:boot");
         if with_display {
             let mut disp = DisplayController::with_rate(TASK_DISPLAY, 400.0, 60.0);
@@ -239,7 +243,8 @@ fn e13_hold_cycles_become_io_work() {
     // The remainder is the emulator parked on ifu-dispatch between
     // macro-ops — the only other stall this workload can produce.
     assert_eq!(
-        mem_holds + alone.holds_by(TASK_EMU, HoldCause::IfuDispatch)
+        mem_holds
+            + alone.holds_by(TASK_EMU, HoldCause::IfuDispatch)
             + alone.holds_by(TASK_EMU, HoldCause::IfuOperand),
         alone.held(TASK_EMU),
         "every held cycle is attributed to a cause"

@@ -42,8 +42,16 @@ fn load_fixture(name: &str) -> Option<Vec<u64>> {
 
 fn bless(name: &str, hashes: &[u64]) {
     let mut out = String::new();
-    writeln!(out, "# Golden per-field CRC64 hashes for scenario `{name}`.").unwrap();
-    writeln!(out, "# Regenerate with DORADO_BLESS_FRAMES=1 (see tests/golden_frames.rs).").unwrap();
+    writeln!(
+        out,
+        "# Golden per-field CRC64 hashes for scenario `{name}`."
+    )
+    .unwrap();
+    writeln!(
+        out,
+        "# Regenerate with DORADO_BLESS_FRAMES=1 (see tests/golden_frames.rs)."
+    )
+    .unwrap();
     for h in hashes {
         writeln!(out, "{h:016x}").unwrap();
     }
@@ -152,7 +160,9 @@ fn stopped_display_snapshot_round_trips_like_running() {
             let mut fresh = build_machine(kind);
             restore_image(&mut fresh, &img).expect("image restores");
             *m = fresh;
-            m.device_mut::<DisplayController>("display").unwrap().start();
+            m.device_mut::<DisplayController>("display")
+                .unwrap()
+                .start();
         }
     });
     assert_eq!(

@@ -6,7 +6,7 @@
 
 use dorado::asm::{ASel, AluOp, Assembler, BSel, Inst};
 use dorado::base::{HoldCause, MicroAddr, Requester, TaskId, VirtAddr};
-use dorado::core::{CacheOutcome, DoradoBuilder, Dorado, TraceEvent};
+use dorado::core::{CacheOutcome, Dorado, DoradoBuilder, TraceEvent};
 
 /// fetch RM[1] → consume MEMDATA into T → T+1 into RM[2] → halt.
 fn build(trace: bool) -> Dorado {
@@ -46,7 +46,13 @@ fn golden() -> Vec<TraceEvent> {
     // Cycles 1–25: the MEMDATA consumer is held while the fill is in
     // flight — "no operation, jump to self" at the same address.
     for cycle in 1..=25 {
-        want.push(ev(cycle, 1, Some(HoldCause::MemData), CacheOutcome::None, false));
+        want.push(ev(
+            cycle,
+            1,
+            Some(HoldCause::MemData),
+            CacheOutcome::None,
+            false,
+        ));
     }
     // Cycle 26: the consumer completes, its T result bypassed forward.
     want.push(ev(26, 1, None, CacheOutcome::None, true));

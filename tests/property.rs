@@ -124,7 +124,11 @@ fn shifter_field_extract_oracle() {
         let size = rng.range(1, 16 - u64::from(pos) + 1) as u8;
         let ctl = ShiftCtl::field_extract(pos, size);
         let out = shifter_output(ctl, v, v, 0, MaskMode::Zeroes);
-        let mask = if size == 16 { 0xffff } else { (1u16 << size) - 1 };
+        let mask = if size == 16 {
+            0xffff
+        } else {
+            (1u16 << size) - 1
+        };
         assert_eq!(out, (v >> pos) & mask);
     });
 }
@@ -139,8 +143,11 @@ fn shifter_field_insert_oracle() {
         let size = rng.range(1, 16 - u64::from(pos) + 1) as u8;
         let ctl = ShiftCtl::field_insert(pos, size);
         let out = shifter_output(ctl, v, v, old, MaskMode::MemData);
-        let mask: u16 =
-            if size == 16 { 0xffff } else { ((1u32 << size) - 1) as u16 } << pos;
+        let mask: u16 = if size == 16 {
+            0xffff
+        } else {
+            ((1u32 << size) - 1) as u16
+        } << pos;
         assert_eq!(out & mask, (v << pos) & mask, "field bits come from v");
         assert_eq!(out & !mask, old & !mask, "other bits preserved");
     });
@@ -364,7 +371,14 @@ fn bit_fill_matches_reference() {
 
         let pitch = 8u16;
         let w = w.min(pitch * 16 - x);
-        let r = BitRect { base: 0x800, pitch, x, y, w, h };
+        let r = BitRect {
+            base: 0x800,
+            pitch,
+            x,
+            y,
+            w,
+            h,
+        };
 
         let suite = SuiteBuilder::new().with_bitblt().assemble().unwrap();
         let mut m = suite

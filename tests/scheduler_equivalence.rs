@@ -220,7 +220,11 @@ fn due_cycle_fires_at_the_exact_cycle_across_skip_windows() {
         if t % 1_000 == 617 {
             // Mid-window probe: a slow-IO read must see the same FIFO and
             // must not shift any later due cycle.
-            assert_eq!(sched.input(0x41), naive.input(0x41), "FIFO depth at tick {t}");
+            assert_eq!(
+                sched.input(0x41),
+                naive.input(0x41),
+                "FIFO depth at tick {t}"
+            );
             assert_eq!(save_image(&sched), save_image(&naive), "image at tick {t}");
         }
     }

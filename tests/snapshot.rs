@@ -11,8 +11,8 @@ use dorado::base::snap::{restore_image, save_image};
 use dorado::base::{BaseRegId, TaskId, VirtAddr, Word};
 use dorado::core::{ControlSection, DataSection, Dorado, DoradoBuilder};
 use dorado::emu::layout::{
-    BR_DISK, BR_DISPLAY, BR_NET, IOA_DISK, IOA_DISPLAY, IOA_NET, TASK_DISK, TASK_DISPLAY,
-    TASK_EMU, TASK_NET,
+    BR_DISK, BR_DISPLAY, BR_NET, IOA_DISK, IOA_DISPLAY, IOA_NET, TASK_DISK, TASK_DISPLAY, TASK_EMU,
+    TASK_NET,
 };
 use dorado::emu::mesa::{self, MesaAsm};
 use dorado::emu::SuiteBuilder;
@@ -120,19 +120,23 @@ fn small_machine(packet: &[Word]) -> Dorado {
 /// build, run both sides further: identical state at every probe.
 #[test]
 fn machine_snapshot_resume_is_deterministic() {
-    check("machine_snapshot_resume_is_deterministic", 16, |rng: &mut Rng| {
-        let packet: Vec<Word> = (0..rng.range(1, 40)).map(|_| rng.word()).collect();
-        let k = rng.below(2_000);
-        let mut a = small_machine(&packet);
-        a.run_quantum(k);
-        let ckpt = save_image(&a);
-        let mut b = small_machine(&packet);
-        restore_image(&mut b, &ckpt).expect("checkpoint restores");
-        assert_eq!(save_image(&b), ckpt, "restore → save is the identity");
-        a.run_quantum(500);
-        b.run_quantum(500);
-        assert_eq!(save_image(&a), save_image(&b), "k={k}");
-    });
+    check(
+        "machine_snapshot_resume_is_deterministic",
+        16,
+        |rng: &mut Rng| {
+            let packet: Vec<Word> = (0..rng.range(1, 40)).map(|_| rng.word()).collect();
+            let k = rng.below(2_000);
+            let mut a = small_machine(&packet);
+            a.run_quantum(k);
+            let ckpt = save_image(&a);
+            let mut b = small_machine(&packet);
+            restore_image(&mut b, &ckpt).expect("checkpoint restores");
+            assert_eq!(save_image(&b), ckpt, "restore → save is the identity");
+            a.run_quantum(500);
+            b.run_quantum(500);
+            assert_eq!(save_image(&a), save_image(&b), "k={k}");
+        },
+    );
 }
 
 /// Restoring a snapshot onto a machine whose microcode has changed since
@@ -241,7 +245,8 @@ fn workstation() -> Dorado {
     mesa::configure_ifu(&mut m);
     mesa::init_runtime(&mut m);
     mesa::load_program(&mut m, &program);
-    m.memory_mut().set_base_reg(BaseRegId::new(BR_DISPLAY), 0x2000);
+    m.memory_mut()
+        .set_base_reg(BaseRegId::new(BR_DISPLAY), 0x2000);
     m.memory_mut().set_base_reg(BaseRegId::new(BR_DISK), 0x3000);
     m.memory_mut().set_base_reg(BaseRegId::new(BR_NET), 0x3800);
     for i in 0..0x400u32 {

@@ -62,7 +62,10 @@ fn run_to_halt(name: &str, m: &mut Dorado) {
 #[test]
 fn mesa_end_state_matches_unoptimized() {
     let (suite, report) = optimized_suite(SuiteBuilder::new().with_mesa());
-    assert!(report.rewrites() > 0, "mesa has known opportunities: {report}");
+    assert!(
+        report.rewrites() > 0,
+        "mesa has known opportunities: {report}"
+    );
     check("uopt-equivalence-mesa", 8, |rng: &mut Rng| {
         let reps = rng.range(1, 40);
         let mut p = MesaAsm::new();
@@ -88,7 +91,10 @@ fn mesa_end_state_matches_unoptimized() {
 #[test]
 fn lisp_end_state_matches_unoptimized() {
     let (suite, report) = optimized_suite(SuiteBuilder::new().with_lisp());
-    assert!(report.rewrites() > 0, "lisp has known opportunities: {report}");
+    assert!(
+        report.rewrites() > 0,
+        "lisp has known opportunities: {report}"
+    );
     check("uopt-equivalence-lisp", 6, |rng: &mut Rng| {
         let n = rng.range(2, 24);
         let mut p = LispAsm::new();
@@ -116,7 +122,10 @@ fn lisp_end_state_matches_unoptimized() {
 #[test]
 fn bcpl_end_state_matches_unoptimized() {
     let (suite, report) = optimized_suite(SuiteBuilder::new().with_bcpl());
-    assert!(report.rewrites() > 0, "bcpl has known opportunities: {report}");
+    assert!(
+        report.rewrites() > 0,
+        "bcpl has known opportunities: {report}"
+    );
     check("uopt-equivalence-bcpl", 6, |rng: &mut Rng| {
         let calls = rng.range(1, 48);
         let mut p = BcplAsm::new();
@@ -146,7 +155,10 @@ fn bcpl_end_state_matches_unoptimized() {
 #[test]
 fn smalltalk_end_state_matches_unoptimized() {
     let (suite, report) = optimized_suite(SuiteBuilder::new().with_smalltalk());
-    assert!(report.rewrites() > 0, "smalltalk has known opportunities: {report}");
+    assert!(
+        report.rewrites() > 0,
+        "smalltalk has known opportunities: {report}"
+    );
     check("uopt-equivalence-smalltalk", 6, |rng: &mut Rng| {
         let sends = rng.range(1, 12);
         let field = rng.below(100) as Word;
@@ -266,7 +278,11 @@ fn seeded_reordering_bug_is_caught_and_excluded() {
     let good = end_state(build(false).place().expect("places"));
     let bug = end_state(build(true).place().expect("places"));
     assert_eq!(good, (true, 0x11), "correct order stores the old T");
-    assert_eq!(bug, (true, 0x22), "the seeded swap is architecturally visible");
+    assert_eq!(
+        bug,
+        (true, 0x22),
+        "the seeded swap is architecturally visible"
+    );
 
     let opt = optimize(&build(false)).expect("optimizes");
     assert_eq!(
@@ -279,10 +295,14 @@ fn seeded_reordering_bug_is_caught_and_excluded() {
 #[test]
 fn scenario_runs_match_the_unoptimized_image() {
     let (suite, report) = optimized_suite(SuiteBuilder::new().with_scenario().with_bitblt());
-    assert!(report.rewrites() > 0, "scenario has known opportunities: {report}");
+    assert!(
+        report.rewrites() > 0,
+        "scenario has known opportunities: {report}"
+    );
     for kind in ScenarioKind::ALL {
         let base = scenario::drive(kind, false, &mut |_, _| {});
-        let opt = scenario::drive_mode_on(kind, &suite, false, ExecMode::Interpreted, &mut |_, _| {});
+        let opt =
+            scenario::drive_mode_on(kind, &suite, false, ExecMode::Interpreted, &mut |_, _| {});
         let name = kind.name();
         assert_eq!(base.final_frame, opt.final_frame, "{name}: final raster");
         assert_eq!(base.input_events, opt.input_events, "{name}: input events");
@@ -297,7 +317,10 @@ fn scenario_runs_match_the_unoptimized_image() {
 #[test]
 fn cluster_on_the_optimized_image_is_deterministic_and_mode_stable() {
     let (suite, report) = optimized_suite(SuiteBuilder::new().with_cluster());
-    assert!(report.rewrites() > 0, "cluster has known opportunities: {report}");
+    assert!(
+        report.rewrites() > 0,
+        "cluster has known opportunities: {report}"
+    );
     let cfg = ClusterConfig::pairs(4, 2, 3);
     let run = |exec: Exec| {
         let mut sim = ClusterSim::build_with(&cfg, &suite).expect("cluster builds");
@@ -311,7 +334,10 @@ fn cluster_on_the_optimized_image_is_deterministic_and_mode_stable() {
     assert!(a.0 > 0, "clients made progress on the optimized image");
     assert!(a.1 > 0, "servers served on the optimized image");
     assert_eq!(a, b, "optimized cluster runs are deterministic");
-    assert_eq!(a, pooled, "pool executor is bit-identical on the optimized image");
+    assert_eq!(
+        a, pooled,
+        "pool executor is bit-identical on the optimized image"
+    );
 }
 
 #[test]
