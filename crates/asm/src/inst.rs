@@ -269,12 +269,6 @@ impl Inst {
         self.ff(FfOp::IoInput)
     }
 
-    /// FF: slow I/O output (device ← B).
-    #[must_use]
-    pub fn ff_output(self) -> Self {
-        self.ff(FfOp::IoOutput)
-    }
-
     // --- control flow ----------------------------------------------------
 
     fn set_flow(mut self, flow: Flow) -> Self {

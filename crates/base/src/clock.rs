@@ -56,19 +56,6 @@ impl std::fmt::Display for Cycles {
     }
 }
 
-/// Board technology for the machine build (§2): stitchweld prototypes ran a
-/// 50 ns cycle; the multiwire production boards "slowed the machine down by
-/// about 15%", to 60 ns.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum Wiring {
-    /// Stitchwelded prototype boards: 50 ns cycle.
-    Stitchweld,
-    /// Multiwire production boards: 60 ns cycle (the machine the paper's §7
-    /// numbers describe).
-    #[default]
-    Multiwire,
-}
-
 /// Clock configuration: the length of one microcycle.
 ///
 /// # Examples
@@ -109,14 +96,6 @@ impl ClockConfig {
         ClockConfig { cycle_ns }
     }
 
-    /// Builds the clock for a wiring technology.
-    pub fn for_wiring(wiring: Wiring) -> Self {
-        match wiring {
-            Wiring::Stitchweld => Self::stitchweld(),
-            Wiring::Multiwire => Self::multiwire(),
-        }
-    }
-
     /// The microcycle length in nanoseconds.
     #[inline]
     pub fn cycle_ns(&self) -> f64 {
@@ -150,12 +129,6 @@ impl ClockConfig {
     pub fn mbits_per_sec(&self, bits: u64, cycles: Cycles) -> f64 {
         assert!(cycles.0 > 0, "bandwidth over zero cycles is undefined");
         (bits as f64) / (self.to_ns(cycles) * 1e-9) / 1e6
-    }
-
-    /// Instructions (or events) per second given one event per `per_cycles`.
-    pub fn events_per_sec(&self, events: u64, cycles: Cycles) -> f64 {
-        assert!(cycles.0 > 0, "rate over zero cycles is undefined");
-        events as f64 / self.to_seconds(cycles)
     }
 }
 

@@ -330,93 +330,65 @@ impl FabricStats {
     }
 }
 
-use crate::snap::{Reader, SnapError, Snapshot, Writer};
+use crate::snap::{Io, SnapError, Snapshot};
 
 impl Snapshot for PortCounters {
-    fn save(&self, w: &mut Writer) {
-        w.u64(self.refs);
-        w.u64(self.hits);
-    }
-
-    fn restore(&mut self, r: &mut Reader<'_>) -> Result<(), SnapError> {
-        self.refs = r.u64()?;
-        self.hits = r.u64()?;
-        Ok(())
+    fn walk(&mut self, io: &mut Io<'_>) -> Result<(), SnapError> {
+        [&mut self.refs, &mut self.hits]
+            .into_iter()
+            .try_for_each(|v| io.u64(v))
     }
 }
 
 impl Snapshot for CacheStats {
-    fn save(&self, w: &mut Writer) {
-        self.processor.save(w);
-        self.ifu.save(w);
-        self.fast_io.save(w);
-    }
-
-    fn restore(&mut self, r: &mut Reader<'_>) -> Result<(), SnapError> {
-        self.processor.restore(r)?;
-        self.ifu.restore(r)?;
-        self.fast_io.restore(r)
+    fn walk(&mut self, io: &mut Io<'_>) -> Result<(), SnapError> {
+        self.processor.walk(io)?;
+        self.ifu.walk(io)?;
+        self.fast_io.walk(io)
     }
 }
 
 impl Snapshot for StorageStats {
-    fn save(&self, w: &mut Writer) {
-        w.u64(self.refs);
-        w.u64(self.fills);
-        w.u64(self.writebacks);
-        w.u64(self.fast_fetches);
-        w.u64(self.fast_stores);
-        w.u64(self.busy_cycles);
-    }
-
-    fn restore(&mut self, r: &mut Reader<'_>) -> Result<(), SnapError> {
-        self.refs = r.u64()?;
-        self.fills = r.u64()?;
-        self.writebacks = r.u64()?;
-        self.fast_fetches = r.u64()?;
-        self.fast_stores = r.u64()?;
-        self.busy_cycles = r.u64()?;
-        Ok(())
+    fn walk(&mut self, io: &mut Io<'_>) -> Result<(), SnapError> {
+        [
+            &mut self.refs,
+            &mut self.fills,
+            &mut self.writebacks,
+            &mut self.fast_fetches,
+            &mut self.fast_stores,
+            &mut self.busy_cycles,
+        ]
+        .into_iter()
+        .try_for_each(|v| io.u64(v))
     }
 }
 
 impl Snapshot for IfuActivity {
-    fn save(&self, w: &mut Writer) {
-        w.u64(self.dispatches);
-        w.u64(self.fetches);
-        w.u64(self.jumps);
-        w.u64(self.buffer_bytes_accum);
-        w.u64(self.buffer_full_cycles);
-        w.u64(self.ticks);
-    }
-
-    fn restore(&mut self, r: &mut Reader<'_>) -> Result<(), SnapError> {
-        self.dispatches = r.u64()?;
-        self.fetches = r.u64()?;
-        self.jumps = r.u64()?;
-        self.buffer_bytes_accum = r.u64()?;
-        self.buffer_full_cycles = r.u64()?;
-        self.ticks = r.u64()?;
-        Ok(())
+    fn walk(&mut self, io: &mut Io<'_>) -> Result<(), SnapError> {
+        [
+            &mut self.dispatches,
+            &mut self.fetches,
+            &mut self.jumps,
+            &mut self.buffer_bytes_accum,
+            &mut self.buffer_full_cycles,
+            &mut self.ticks,
+        ]
+        .into_iter()
+        .try_for_each(|v| io.u64(v))
     }
 }
 
 impl Snapshot for FabricPortStats {
-    fn save(&self, w: &mut Writer) {
-        w.u64(self.tx_packets);
-        w.u64(self.tx_words);
-        w.u64(self.rx_packets);
-        w.u64(self.rx_words);
-        w.u64(self.drops);
-    }
-
-    fn restore(&mut self, r: &mut Reader<'_>) -> Result<(), SnapError> {
-        self.tx_packets = r.u64()?;
-        self.tx_words = r.u64()?;
-        self.rx_packets = r.u64()?;
-        self.rx_words = r.u64()?;
-        self.drops = r.u64()?;
-        Ok(())
+    fn walk(&mut self, io: &mut Io<'_>) -> Result<(), SnapError> {
+        [
+            &mut self.tx_packets,
+            &mut self.tx_words,
+            &mut self.rx_packets,
+            &mut self.rx_words,
+            &mut self.drops,
+        ]
+        .into_iter()
+        .try_for_each(|v| io.u64(v))
     }
 }
 

@@ -8,7 +8,7 @@
 use crate::clock::{ClockConfig, Cycles};
 use crate::hold::HoldCause;
 use crate::metrics::{CacheStats, IfuActivity, StorageStats};
-use crate::snap::{Reader, SnapError, Snapshot, Writer};
+use crate::snap::{Io, SnapError, Snapshot};
 use crate::task::TaskId;
 use crate::NUM_TASKS;
 
@@ -150,60 +150,26 @@ impl Stats {
 }
 
 impl Snapshot for Stats {
-    fn save(&self, w: &mut Writer) {
-        w.tag(b"STAT");
-        w.u64(self.cycles);
-        for v in self.executed {
-            w.u64(v);
-        }
-        for v in self.held {
-            w.u64(v);
-        }
-        for row in self.held_by {
-            for v in row {
-                w.u64(v);
-            }
-        }
-        w.u64(self.task_switches);
-        w.u64(self.cache_refs);
-        w.u64(self.cache_hits);
-        w.u64(self.storage_refs);
-        w.u64(self.fast_io_munches);
-        w.u64(self.slow_io_words);
-        w.u64(self.macro_instructions);
-        w.u64(self.ifu_fetches);
-        w.u64(self.io_overruns);
-        self.cache.save(w);
-        self.storage.save(w);
-        self.ifu.save(w);
-    }
-
-    fn restore(&mut self, r: &mut Reader<'_>) -> Result<(), SnapError> {
-        r.tag(b"STAT")?;
-        self.cycles = r.u64()?;
-        for v in &mut self.executed {
-            *v = r.u64()?;
-        }
-        for v in &mut self.held {
-            *v = r.u64()?;
-        }
-        for row in &mut self.held_by {
-            for v in row {
-                *v = r.u64()?;
-            }
-        }
-        self.task_switches = r.u64()?;
-        self.cache_refs = r.u64()?;
-        self.cache_hits = r.u64()?;
-        self.storage_refs = r.u64()?;
-        self.fast_io_munches = r.u64()?;
-        self.slow_io_words = r.u64()?;
-        self.macro_instructions = r.u64()?;
-        self.ifu_fetches = r.u64()?;
-        self.io_overruns = r.u64()?;
-        self.cache.restore(r)?;
-        self.storage.restore(r)?;
-        self.ifu.restore(r)
+    fn walk(&mut self, io: &mut Io<'_>) -> Result<(), SnapError> {
+        io.tag(b"STAT")?;
+        io.u64(&mut self.cycles)?;
+        let per_task = self.executed.iter_mut().chain(&mut self.held);
+        let flat = per_task.chain(self.held_by.as_flattened_mut());
+        flat.chain([
+            &mut self.task_switches,
+            &mut self.cache_refs,
+            &mut self.cache_hits,
+            &mut self.storage_refs,
+            &mut self.fast_io_munches,
+            &mut self.slow_io_words,
+            &mut self.macro_instructions,
+            &mut self.ifu_fetches,
+            &mut self.io_overruns,
+        ])
+        .try_for_each(|v| io.u64(v))?;
+        self.cache.walk(io)?;
+        self.storage.walk(io)?;
+        self.ifu.walk(io)
     }
 }
 
@@ -330,9 +296,9 @@ mod tests {
         a.storage.busy_cycles = 23;
         a.ifu.buffer_bytes_accum = 24;
         let mut b = Stats::new();
-        restore_image(&mut b, &save_image(&a)).unwrap();
+        restore_image(&mut b, &save_image(&mut a)).unwrap();
         assert_eq!(a, b);
-        assert_eq!(save_image(&a), save_image(&b));
+        assert_eq!(save_image(&mut a), save_image(&mut b));
     }
 
     #[test]

@@ -109,7 +109,7 @@ pub type Mangle<'a> = &'a mut dyn FnMut(u64, usize, &mut Vec<Word>) -> bool;
 /// Sends one port's drained transcript into the fabric at boundary `now`,
 /// each packet through the fault hook first.  A packet that is empty —
 /// emptied by the hook, or queued empty by host code — is lost on the
-/// wire: the fabric only carries addressed packets.
+/// wire: the fabric discards it uncounted.
 fn send(
     fabric: &Fabric,
     port: usize,
@@ -119,7 +119,7 @@ fn send(
 ) {
     for (stamp, mut pkt) in packets {
         let kept = mangle.as_mut().is_none_or(|hook| hook(now, port, &mut pkt));
-        if kept && !pkt.is_empty() {
+        if kept {
             fabric.send_stamped(port, pkt, now, stamp);
         }
     }

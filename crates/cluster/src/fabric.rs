@@ -31,7 +31,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-use dorado_base::snap::{Reader, SnapError, Snapshot, Writer};
+use dorado_base::snap::{Io, SnapError, Snapshot};
 use dorado_base::{ClockConfig, FabricPortStats, FabricStats, Word};
 
 /// Fabric parameters.
@@ -69,7 +69,7 @@ impl FabricConfig {
 }
 
 /// One packet either sent or delivered on a port, for latency matching.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PacketRecord {
     /// Cycle the packet was committed to the wire (tx log — the sender's
     /// completion stamp when the executor supplies one, else the epoch
@@ -84,7 +84,7 @@ pub struct PacketRecord {
     pub len: usize,
 }
 
-#[derive(Debug)]
+#[derive(Debug, Clone, Default)]
 struct Delivery {
     due: u64,
     src: usize,
@@ -190,15 +190,14 @@ impl Fabric {
     /// latency measurement sub-epoch resolution while flight time is still
     /// computed from the boundary (the delivery-determinism contract).
     /// Word 0 addresses the destination; a packet addressed to no port is
-    /// dropped and the drop charged to the source.
+    /// dropped and the drop charged to the source.  An empty packet has no
+    /// address and carries nothing: it is discarded uncounted.
     ///
     /// [`NetworkController`]: dorado_io::NetworkController
-    ///
-    /// # Panics
-    ///
-    /// Panics on an empty packet (controllers never emit one).
     pub fn send_stamped(&self, src: usize, packet: Vec<Word>, now: u64, tx_stamp: u64) {
-        assert!(!packet.is_empty(), "fabric packets are non-empty");
+        if packet.is_empty() {
+            return;
+        }
         let dst = self.addresses.iter().position(|&a| a == packet[0]);
         {
             let mut tx = self.tx[src].lock().expect("fabric tx lock");
@@ -316,128 +315,77 @@ impl Fabric {
     }
 }
 
-fn save_log(w: &mut Writer, log: &[PacketRecord]) {
-    w.len(log.len());
-    for r in log {
-        w.u64(r.cycle);
-        w.u16(r.peer);
-        w.u16(r.seq);
-        w.u64(r.len as u64);
-    }
-}
-
-fn restore_log(r: &mut Reader<'_>) -> Result<Vec<PacketRecord>, SnapError> {
-    let n = r.len()?;
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        out.push(PacketRecord {
-            cycle: r.u64()?,
-            peer: r.u16()?,
-            seq: r.u16()?,
-            len: r.u64()? as usize,
-        });
-    }
-    Ok(out)
+/// One port half's counters and packet log, as both halves store them.
+fn walk_port(
+    io: &mut Io<'_>,
+    counters: [&mut u64; 3],
+    log: &mut Vec<PacketRecord>,
+) -> Result<(), SnapError> {
+    counters.into_iter().try_for_each(|v| io.u64(v))?;
+    io.seq(log, |io, r| {
+        io.u64(&mut r.cycle)?;
+        io.u16(&mut r.peer)?;
+        io.u16(&mut r.seq)?;
+        io.usize(&mut r.len)
+    })
 }
 
 impl Snapshot for Fabric {
-    fn save(&self, w: &mut Writer) {
-        w.tag(b"FABR");
-        w.word_seq(self.addresses.iter().copied());
-        // In-flight deliveries across all shards, serialized in global
-        // sequence order so the image is independent of shard layout and
-        // of the (sort-on-eviction) in-shard ordering.
-        let mut flat: Vec<(u64, usize, u64, usize, Vec<Word>)> = Vec::new();
-        for (dst, shard) in self.shards.iter().enumerate() {
-            let sh = shard.lock().expect("fabric shard lock");
-            for d in &sh.in_flight {
-                flat.push((d.due, d.src, d.seq, dst, d.words.clone()));
-            }
-        }
-        flat.sort_by_key(|&(_, _, seq, _, _)| seq);
-        w.len(flat.len());
-        for (due, src, seq, dst, words) in &flat {
-            w.u64(*due);
-            w.u64(*src as u64);
-            w.u64(*seq);
-            w.u64(*dst as u64);
-            w.word_seq(words.iter().copied());
-        }
-        w.u64(self.next_seq.load(Ordering::Relaxed));
-        for tx in &self.tx {
-            let tx = tx.lock().expect("fabric tx lock");
-            w.u64(tx.packets);
-            w.u64(tx.words);
-            w.u64(tx.drops);
-            save_log(w, &tx.log);
-        }
-        for shard in &self.shards {
-            let sh = shard.lock().expect("fabric shard lock");
-            w.u64(sh.packets);
-            w.u64(sh.words);
-            w.u64(sh.drops);
-            save_log(w, &sh.log);
-        }
-    }
-
-    fn restore(&mut self, r: &mut Reader<'_>) -> Result<(), SnapError> {
-        r.tag(b"FABR")?;
+    fn walk(&mut self, io: &mut Io<'_>) -> Result<(), SnapError> {
+        io.tag(b"FABR")?;
         // Geometry (port addresses, and with them the port count) is
         // configuration; word_cycles/latency/queue-limit travel with it.
-        if r.word_seq()? != self.addresses {
-            return Err(SnapError::Mismatch {
-                what: "fabric addresses",
-            });
+        io.config(&self.addresses, "fabric addresses", Io::word_seq)?;
+        // In-flight deliveries across all shards, walked in global
+        // sequence order so the image is independent of shard layout and
+        // of the (sort-on-eviction) in-shard ordering.
+        let mut flat: Vec<(usize, Delivery)> = Vec::new();
+        for (dst, shard) in self.shards.iter_mut().enumerate() {
+            let sh = shard.get_mut().expect("fabric shard lock");
+            flat.extend(sh.in_flight.iter().map(|d| (dst, d.clone())));
         }
-        let n = r.len()?;
-        for shard in &mut self.shards {
-            shard
-                .get_mut()
-                .expect("fabric shard lock")
-                .in_flight
-                .clear();
+        flat.sort_by_key(|(_, d)| d.seq);
+        io.seq(&mut flat, |io, (dst, d)| {
+            io.u64(&mut d.due)?;
+            io.usize(&mut d.src)?;
+            io.u64(&mut d.seq)?;
+            io.usize(dst)?;
+            io.word_seq(&mut d.words)
+        })?;
+        let ports = self.addresses.len();
+        for (dst, d) in &flat {
+            io.check(d.src < ports && *dst < ports, "fabric port index")?;
+            io.check(!d.words.is_empty(), "empty fabric packet")?;
         }
-        for _ in 0..n {
-            let due = r.u64()?;
-            let src = r.u64()? as usize;
-            let seq = r.u64()?;
-            let dst = r.u64()? as usize;
-            let words = r.word_seq()?;
-            if src >= self.addresses.len() || dst >= self.addresses.len() {
-                return Err(SnapError::Invalid {
-                    what: "fabric port index",
-                });
+        if io.is_load() {
+            for shard in &mut self.shards {
+                shard
+                    .get_mut()
+                    .expect("fabric shard lock")
+                    .in_flight
+                    .clear();
             }
-            if words.is_empty() {
-                return Err(SnapError::Invalid {
-                    what: "empty fabric packet",
-                });
+            for (dst, d) in flat {
+                let sh = self.shards[dst].get_mut().expect("fabric shard lock");
+                sh.in_flight.push(d);
             }
-            self.shards[dst]
-                .get_mut()
-                .expect("fabric shard lock")
-                .in_flight
-                .push(Delivery {
-                    due,
-                    src,
-                    seq,
-                    words,
-                });
         }
-        *self.next_seq.get_mut() = r.u64()?;
+        io.u64(self.next_seq.get_mut())?;
         for tx in &mut self.tx {
             let tx = tx.get_mut().expect("fabric tx lock");
-            tx.packets = r.u64()?;
-            tx.words = r.u64()?;
-            tx.drops = r.u64()?;
-            tx.log = restore_log(r)?;
+            walk_port(
+                io,
+                [&mut tx.packets, &mut tx.words, &mut tx.drops],
+                &mut tx.log,
+            )?;
         }
         for shard in &mut self.shards {
             let sh = shard.get_mut().expect("fabric shard lock");
-            sh.packets = r.u64()?;
-            sh.words = r.u64()?;
-            sh.drops = r.u64()?;
-            sh.log = restore_log(r)?;
+            walk_port(
+                io,
+                [&mut sh.packets, &mut sh.words, &mut sh.drops],
+                &mut sh.log,
+            )?;
         }
         Ok(())
     }
@@ -550,31 +498,42 @@ mod tests {
     #[test]
     fn snapshot_round_trips_across_shards() {
         use dorado_base::snap::{restore_image, save_image};
-        let f = fabric(3);
+        let mut f = fabric(3);
         f.send(0, vec![0x101, 0x100, 1], 0);
         f.send(1, vec![0x102, 0x101, 2], 0);
         f.send(2, vec![0xdead, 0x102, 3], 0); // unroutable: tx drop
         let _ = f.collect_for_port(1, u64::MAX); // one delivered
-        let img = save_image(&f);
+        let img = save_image(&mut f);
         let mut g = fabric(3);
         restore_image(&mut g, &img).unwrap();
-        assert_eq!(save_image(&g), img);
+        assert_eq!(save_image(&mut g), img);
         assert_eq!(g.stats(), f.stats());
         // The still-in-flight packet survives into the restored fabric.
         assert_eq!(g.collect_for_port(2, u64::MAX).len(), 1);
     }
 
     #[test]
+    fn empty_packets_are_discarded_uncounted() {
+        use dorado_base::snap::save_image;
+        let mut f = fabric(2);
+        f.send(0, vec![0x101, 0x100, 1], 0);
+        let before = save_image(&mut f);
+        f.send_stamped(0, vec![], 10, 5);
+        assert_eq!(save_image(&mut f), before);
+        assert_eq!(f.stats().tx_packets(), 1);
+    }
+
+    #[test]
     fn restore_rejects_an_empty_in_flight_packet() {
         use dorado_base::snap::{restore_image, save_image};
-        let f = fabric(2);
+        let mut f = fabric(2);
         f.shards[1].lock().unwrap().in_flight.push(Delivery {
             due: 0,
             src: 0,
             seq: 0,
             words: vec![],
         });
-        let err = restore_image(&mut fabric(2), &save_image(&f)).unwrap_err();
+        let err = restore_image(&mut fabric(2), &save_image(&mut f)).unwrap_err();
         assert!(matches!(err, SnapError::Invalid { .. }), "{err:?}");
     }
 

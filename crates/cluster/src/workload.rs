@@ -22,7 +22,7 @@
 
 use std::collections::{HashMap, VecDeque};
 
-use dorado_base::snap::{self, Reader, SnapError, Snapshot, Writer};
+use dorado_base::snap::{self, Io, SnapError, Snapshot};
 use dorado_base::{ClusterReport, LatencyStats, Word, WorkloadSummary};
 use dorado_core::Dorado;
 use dorado_emu::cluster as ucode;
@@ -397,7 +397,7 @@ impl ClusterSim {
     /// into one checkpoint image.  Configuration (microcode, labels,
     /// roles, epoch length) is not captured; restore into a cluster built
     /// from the same [`ClusterConfig`].
-    pub fn save_checkpoint(&self) -> Vec<u8> {
+    pub fn save_checkpoint(&mut self) -> Vec<u8> {
         snap::save_image(self)
     }
 
@@ -428,28 +428,12 @@ impl ClusterSim {
 }
 
 impl Snapshot for ClusterSim {
-    fn save(&self, w: &mut Writer) {
-        w.tag(b"CLUS");
-        w.u64(self.cycles);
-        w.len(self.machines.len());
-        for m in &self.machines {
-            m.save(w);
-        }
-        self.fabric.save(w);
-    }
-
-    fn restore(&mut self, r: &mut Reader<'_>) -> Result<(), SnapError> {
-        r.tag(b"CLUS")?;
-        self.cycles = r.u64()?;
-        if r.len()? != self.machines.len() {
-            return Err(SnapError::Mismatch {
-                what: "machine count",
-            });
-        }
-        for m in &mut self.machines {
-            m.restore(r)?;
-        }
-        self.fabric.restore(r)
+    fn walk(&mut self, io: &mut Io<'_>) -> Result<(), SnapError> {
+        io.tag(b"CLUS")?;
+        io.u64(&mut self.cycles)?;
+        io.config(&self.machines.len(), "machine count", Io::usize)?;
+        self.machines.iter_mut().try_for_each(|m| m.walk(io))?;
+        self.fabric.walk(io)
     }
 }
 
@@ -525,7 +509,7 @@ mod tests {
 
     #[test]
     fn checkpoint_rejects_wrong_shape() {
-        let sim = ClusterSim::build(&ClusterConfig::pairs(2, 2, 1)).unwrap();
+        let mut sim = ClusterSim::build(&ClusterConfig::pairs(2, 2, 1)).unwrap();
         let cp = sim.save_checkpoint();
         let mut other = ClusterSim::build(&ClusterConfig::pairs(4, 2, 1)).unwrap();
         assert!(matches!(

@@ -1,7 +1,7 @@
 //! The control section (§6.2): task-specific program counters, subroutine
 //! linkage, and the task arbitration pipeline.
 
-use dorado_base::snap::{Reader, SnapError, Snapshot, Writer};
+use dorado_base::snap::{Io, SnapError, Snapshot};
 use dorado_base::task::TaskSet;
 use dorado_base::{MicroAddr, TaskId, NUM_TASKS};
 
@@ -98,38 +98,27 @@ impl ControlSection {
     }
 }
 
-impl Snapshot for ControlSection {
-    fn save(&self, w: &mut Writer) {
-        w.tag(b"CTRL");
-        for &pc in &self.tpc {
-            w.u16(pc.raw());
-        }
-        for &l in &self.link {
-            w.u16(l.raw());
-        }
-        w.u16(self.ready.bits());
-        w.u8(self.this_task.number());
-        w.u16(self.this_pc.raw());
-        w.u8(self.stage1.task.number());
-        w.u16(self.stage1.pc.raw());
-    }
+/// Walks a microstore address as its raw 12 bits.
+fn walk_addr(io: &mut Io<'_>, a: &mut MicroAddr) -> Result<(), SnapError> {
+    let mut raw = a.raw();
+    io.u16(&mut raw)?;
+    *a = MicroAddr::new(raw);
+    Ok(())
+}
 
-    fn restore(&mut self, r: &mut Reader<'_>) -> Result<(), SnapError> {
-        r.tag(b"CTRL")?;
-        for pc in &mut self.tpc {
-            *pc = MicroAddr::new(r.u16()?);
+impl Snapshot for ControlSection {
+    fn walk(&mut self, io: &mut Io<'_>) -> Result<(), SnapError> {
+        io.tag(b"CTRL")?;
+        for pc in self.tpc.iter_mut().chain(&mut self.link) {
+            walk_addr(io, pc)?;
         }
-        for l in &mut self.link {
-            *l = MicroAddr::new(r.u16()?);
-        }
-        self.ready = TaskSet::from_bits(r.u16()?);
-        self.this_task = TaskId::new(r.u8()?);
-        self.this_pc = MicroAddr::new(r.u16()?);
-        self.stage1 = Stage1 {
-            task: TaskId::new(r.u8()?),
-            pc: MicroAddr::new(r.u16()?),
-        };
-        Ok(())
+        let mut ready = self.ready.bits();
+        io.u16(&mut ready)?;
+        self.ready = TaskSet::from_bits(ready);
+        io.task(&mut self.this_task)?;
+        walk_addr(io, &mut self.this_pc)?;
+        io.task(&mut self.stage1.task)?;
+        walk_addr(io, &mut self.stage1.pc)
     }
 }
 

@@ -8,7 +8,7 @@
 //! task addresses its own RM region and buffer base with no save/restore.
 
 use dorado_asm::{default_alufm, AluFunction, ShiftCtl};
-use dorado_base::snap::{Reader, SnapError, Snapshot, Writer};
+use dorado_base::snap::{Io, SnapError, Snapshot};
 use dorado_base::{BaseRegId, TaskId, Word, NUM_TASKS, RM_SIZE, STACK_SIZE};
 
 /// Branch-condition flags computed from a task's most recent ALU operation
@@ -166,81 +166,56 @@ impl DataSection {
 }
 
 impl Snapshot for CondFlags {
-    fn save(&self, w: &mut Writer) {
-        let bits = u8::from(self.zero)
-            | u8::from(self.neg) << 1
-            | u8::from(self.carry) << 2
-            | u8::from(self.overflow) << 3
-            | u8::from(self.odd) << 4;
-        w.u8(bits);
-    }
-
-    fn restore(&mut self, r: &mut Reader<'_>) -> Result<(), SnapError> {
-        let bits = r.u8()?;
-        if bits & !0x1f != 0 {
-            return Err(SnapError::Invalid { what: "cond flags" });
+    /// The five flags packed into the low bits of one byte.
+    fn walk(&mut self, io: &mut Io<'_>) -> Result<(), SnapError> {
+        let flags = [
+            &mut self.zero,
+            &mut self.neg,
+            &mut self.carry,
+            &mut self.overflow,
+            &mut self.odd,
+        ];
+        let mut bits = 0u8;
+        for (i, f) in flags.iter().enumerate() {
+            bits |= u8::from(**f) << i;
         }
-        self.zero = bits & 1 != 0;
-        self.neg = bits & 2 != 0;
-        self.carry = bits & 4 != 0;
-        self.overflow = bits & 8 != 0;
-        self.odd = bits & 16 != 0;
+        io.u8(&mut bits)?;
+        io.check(bits & !0x1f == 0, "cond flags")?;
+        for (i, f) in flags.into_iter().enumerate() {
+            *f = bits & (1 << i) != 0;
+        }
         Ok(())
     }
 }
 
 impl Snapshot for DataSection {
-    fn save(&self, w: &mut Writer) {
-        w.tag(b"DATA");
-        w.words(&self.rm);
-        w.words(&self.stack);
-        w.u8(self.stackptr);
-        w.bool(self.stack_error);
-        w.words(&self.t);
-        w.u16(self.count);
-        w.u16(self.q);
-        w.u16(self.shiftctl.raw());
-        for &rb in &self.rbase {
-            w.u8(rb);
-        }
-        for &mb in &self.membase {
-            w.u8(mb.index() as u8);
-        }
-        for &f in &self.alufm {
-            w.u8(f.raw());
-        }
-        w.words(&self.ioaddress);
-        for f in &self.flags {
-            f.save(w);
-        }
-    }
-
-    fn restore(&mut self, r: &mut Reader<'_>) -> Result<(), SnapError> {
-        r.tag(b"DATA")?;
-        r.words(&mut self.rm)?;
-        r.words(&mut self.stack)?;
-        self.stackptr = r.u8()?;
-        self.stack_error = r.bool()?;
-        r.words(&mut self.t)?;
-        self.count = r.u16()?;
-        self.q = r.u16()?;
-        self.shiftctl = ShiftCtl::from_raw(r.u16()?);
-        for rb in &mut self.rbase {
-            *rb = r.u8()?;
-        }
+    fn walk(&mut self, io: &mut Io<'_>) -> Result<(), SnapError> {
+        io.tag(b"DATA")?;
+        io.words(&mut self.rm)?;
+        io.words(&mut self.stack)?;
+        io.u8(&mut self.stackptr)?;
+        io.bool(&mut self.stack_error)?;
+        io.words(&mut self.t)?;
+        io.u16(&mut self.count)?;
+        io.u16(&mut self.q)?;
+        let mut shiftctl = self.shiftctl.raw();
+        io.u16(&mut shiftctl)?;
+        self.shiftctl = ShiftCtl::from_raw(shiftctl);
+        self.rbase.iter_mut().try_for_each(|rb| io.u8(rb))?;
         for mb in &mut self.membase {
-            *mb = BaseRegId::new(r.u8()?);
+            let mut raw = mb.index() as u8;
+            io.u8(&mut raw)?;
+            *mb = BaseRegId::new(raw);
         }
         for f in &mut self.alufm {
-            *f = AluFunction::decode(r.u8()?).map_err(|_| SnapError::Invalid {
+            let mut raw = f.raw();
+            io.u8(&mut raw)?;
+            *f = AluFunction::decode(raw).map_err(|_| SnapError::Invalid {
                 what: "alufm entry",
             })?;
         }
-        r.words(&mut self.ioaddress)?;
-        for f in &mut self.flags {
-            f.restore(r)?;
-        }
-        Ok(())
+        io.words(&mut self.ioaddress)?;
+        self.flags.iter_mut().try_for_each(|f| f.walk(io))
     }
 }
 

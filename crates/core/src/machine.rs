@@ -21,7 +21,7 @@ use dorado_asm::{
     alu_eval, shifter_output, AluFunction, AsmError, BSel, Cond, ControlOp, FfOp, MaskMode,
     Microword, PlacedProgram, ShiftCtl,
 };
-use dorado_base::snap::{Reader, SnapError, Snapshot, Writer};
+use dorado_base::snap::{Io, SnapError, Snapshot};
 pub use dorado_base::HoldCause;
 use dorado_base::{
     ClockConfig, MicroAddr, Report, Stats, TaskId, Word, MICROSTORE_SIZE, NUM_TASKS, PAGE_SIZE,
@@ -170,10 +170,6 @@ impl WbQueue {
 
     fn iter(&self) -> impl Iterator<Item = WbWrite> + '_ {
         self.slots.iter().flatten().copied()
-    }
-
-    fn len(&self) -> usize {
-        self.slots.iter().flatten().count()
     }
 }
 
@@ -1117,12 +1113,6 @@ impl Dorado {
         self.tracer = Some(Tracer::new(capacity));
     }
 
-    /// Disables tracing, returning the tracer (with its retained events)
-    /// if one was active.
-    pub fn trace_disable(&mut self) -> Option<Tracer> {
-        self.tracer.take()
-    }
-
     /// The active tracer, if tracing is enabled.
     pub fn tracer(&self) -> Option<&Tracer> {
         self.tracer.as_ref()
@@ -1143,88 +1133,67 @@ impl Dorado {
     pub const NUM_TASKS: usize = NUM_TASKS;
 }
 
+impl Default for WbWrite {
+    fn default() -> Self {
+        WbWrite::T(TaskId::EMULATOR, 0)
+    }
+}
+
+impl WbWrite {
+    /// The snapshot encoding: a kind byte, then the task number (T) or the
+    /// register index (Rm, Stack), then the value.  `rm` and `stack` are
+    /// the register-file sizes the index must fall inside.
+    fn walk(&mut self, io: &mut Io<'_>, rm: usize, stack: usize) -> Result<(), SnapError> {
+        let (mut kind, mut task, mut index, mut value) = match *self {
+            WbWrite::T(t, v) => (0u8, t, 0, v),
+            WbWrite::Rm(i, v) => (1, TaskId::EMULATOR, i, v),
+            WbWrite::Stack(i, v) => (2, TaskId::EMULATOR, i, v),
+        };
+        io.u8(&mut kind)?;
+        match kind {
+            0 => io.task(&mut task)?,
+            1 | 2 => io.usize(&mut index)?,
+            _ => io.check(false, "wb kind")?,
+        }
+        io.check(kind != 1 || index < rm, "wb rm index")?;
+        io.check(kind != 2 || index < stack, "wb stack index")?;
+        io.u16(&mut value)?;
+        *self = match kind {
+            0 => WbWrite::T(task, value),
+            1 => WbWrite::Rm(index, value),
+            _ => WbWrite::Stack(index, value),
+        };
+        Ok(())
+    }
+}
+
 impl Snapshot for Dorado {
-    /// Saves every piece of dynamic machine state: datapath, control
+    /// Walks every piece of dynamic machine state: datapath, control
     /// section, memory system (cache, storage, in-flight fetches), IFU,
     /// devices, statistics, and the deferred-writeback queue.
     ///
     /// Configuration — the microcode image, decode tables, clock, tasking
     /// mode, breakpoints, and the tracer — stays with the live object: a
-    /// snapshot restores onto a machine built the same way, and
-    /// `restore` rejects images whose shape disagrees.
-    fn save(&self, w: &mut Writer) {
-        w.tag(b"DRDO");
-        self.dp.save(w);
-        self.control.save(w);
-        self.mem.save(w);
-        self.ifu.save(w);
-        self.io.save(w);
-        self.stats.save(w);
-        w.u64(self.slow_io_words);
-        w.bool(self.halted);
-        w.u64(self.consecutive_holds);
-        w.len(self.pending_wb.len());
-        for wb in self.pending_wb.iter() {
-            match wb {
-                WbWrite::T(task, v) => {
-                    w.u8(0);
-                    w.u8(task.number());
-                    w.u16(v);
-                }
-                WbWrite::Rm(i, v) => {
-                    w.u8(1);
-                    w.u64(i as u64);
-                    w.u16(v);
-                }
-                WbWrite::Stack(i, v) => {
-                    w.u8(2);
-                    w.u64(i as u64);
-                    w.u16(v);
-                }
-            }
-        }
-    }
-
-    fn restore(&mut self, r: &mut Reader<'_>) -> Result<(), SnapError> {
-        r.tag(b"DRDO")?;
-        // `IoSystem::restore` drops its own decode hint.
-        self.dp.restore(r)?;
-        self.control.restore(r)?;
-        self.mem.restore(r)?;
-        self.ifu.restore(r)?;
-        self.io.restore(r)?;
-        self.stats.restore(r)?;
-        self.slow_io_words = r.u64()?;
-        self.halted = r.bool()?;
-        self.consecutive_holds = r.u64()?;
-        let n = r.len()?;
-        if n > 2 {
-            return Err(SnapError::Invalid { what: "wb count" });
-        }
+    /// snapshot restores onto a machine built the same way, and a load
+    /// rejects images whose shape disagrees.
+    fn walk(&mut self, io: &mut Io<'_>) -> Result<(), SnapError> {
+        io.tag(b"DRDO")?;
+        // `IoSystem`'s walk drops its own decode hint on load.
+        self.dp.walk(io)?;
+        self.control.walk(io)?;
+        self.mem.walk(io)?;
+        self.ifu.walk(io)?;
+        self.io.walk(io)?;
+        self.stats.walk(io)?;
+        io.u64(&mut self.slow_io_words)?;
+        io.bool(&mut self.halted)?;
+        io.u64(&mut self.consecutive_holds)?;
+        let (rm, stack) = (self.dp.rm.len(), self.dp.stack.len());
+        let mut writes: Vec<WbWrite> = self.pending_wb.iter().collect();
+        io.seq(&mut writes, |io, wb| wb.walk(io, rm, stack))?;
+        io.check(writes.len() <= 2, "wb count")?;
         self.pending_wb = WbQueue::default();
-        for _ in 0..n {
-            let wb = match r.u8()? {
-                0 => WbWrite::T(TaskId::new(r.u8()?), r.u16()?),
-                1 => {
-                    let i = r.u64()? as usize;
-                    if i >= self.dp.rm.len() {
-                        return Err(SnapError::Invalid {
-                            what: "wb rm index",
-                        });
-                    }
-                    WbWrite::Rm(i, r.u16()?)
-                }
-                2 => {
-                    let i = r.u64()? as usize;
-                    if i >= self.dp.stack.len() {
-                        return Err(SnapError::Invalid {
-                            what: "wb stack index",
-                        });
-                    }
-                    WbWrite::Stack(i, r.u16()?)
-                }
-                _ => return Err(SnapError::Invalid { what: "wb kind" }),
-            };
+        for wb in writes {
             self.pending_wb.push(wb);
         }
         Ok(())

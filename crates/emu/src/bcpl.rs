@@ -238,13 +238,6 @@ impl BcplAsm {
         self.bytes.push(n);
     }
 
-    /// Push a word literal.
-    pub fn litw(&mut self, w: Word) {
-        self.bytes.push(Op::LitW as u8);
-        self.bytes.push((w >> 8) as u8);
-        self.bytes.push(w as u8);
-    }
-
     /// Push vector cell `n`.
     pub fn lv(&mut self, n: u8) {
         self.bytes.push(Op::Lv as u8);

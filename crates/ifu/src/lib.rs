@@ -52,7 +52,7 @@
 
 use std::collections::VecDeque;
 
-use dorado_base::snap::{Reader, SnapError, Snapshot, Writer};
+use dorado_base::snap::{Io, SnapError, Snapshot};
 use dorado_base::{MicroAddr, VirtAddr, Word};
 use dorado_mem::MemorySystem;
 
@@ -215,11 +215,6 @@ impl Ifu {
         self.table[usize::from(opcode)] = entry;
     }
 
-    /// Reads the decode-table entry for `opcode`.
-    pub fn decode_entry(&self, opcode: u8) -> &DecodeEntry {
-        &self.table[usize::from(opcode)]
-    }
-
     /// Statistics.
     pub fn counters(&self) -> &IfuCounters {
         &self.counters
@@ -350,28 +345,19 @@ impl Ifu {
 }
 
 impl Snapshot for Ifu {
-    fn save(&self, w: &mut Writer) {
-        w.tag(b"IFU ");
-        w.u32(self.code_base.0);
-        w.u32(self.pc);
-        w.byte_seq(self.buffer.iter().copied());
-        w.u32(self.fetch_byte);
-        w.u32(self.discard);
-        w.word_seq(self.operands.iter().copied());
-        self.counters.save(w);
-    }
-
-    fn restore(&mut self, r: &mut Reader<'_>) -> Result<(), SnapError> {
-        r.tag(b"IFU ")?;
-        // The decode table is configuration, not dynamic state; it stays
-        // with the live object.
-        self.code_base = VirtAddr::new(r.u32()?);
-        self.pc = r.u32()?;
-        self.buffer = r.byte_seq()?.into();
-        self.fetch_byte = r.u32()?;
-        self.discard = r.u32()?;
-        self.operands = r.word_seq()?.into();
-        self.counters.restore(r)
+    /// The decode table is configuration, not dynamic state; it stays
+    /// with the live object.
+    fn walk(&mut self, io: &mut Io<'_>) -> Result<(), SnapError> {
+        io.tag(b"IFU ")?;
+        let mut code_base = self.code_base.0;
+        io.u32(&mut code_base)?;
+        self.code_base = VirtAddr::new(code_base);
+        io.u32(&mut self.pc)?;
+        io.byte_seq(&mut self.buffer)?;
+        io.u32(&mut self.fetch_byte)?;
+        io.u32(&mut self.discard)?;
+        io.word_seq(&mut self.operands)?;
+        self.counters.walk(io)
     }
 }
 
@@ -562,8 +548,8 @@ mod tests {
             ifu.tick(&mut mem);
             mem.tick();
         }
-        let ifu_img = save_image(&ifu);
-        let mem_img = save_image(&mem);
+        let ifu_img = save_image(&mut ifu);
+        let mem_img = save_image(&mut mem);
 
         // The restored IFU keeps its own (live) decode table.
         let mut ifu2 = Ifu::new();
@@ -585,7 +571,7 @@ mod tests {
         assert_eq!(ifu.pc(), ifu2.pc());
         assert_eq!(run_to_dispatch(&mut mem, &mut ifu), MicroAddr::new(1));
         assert_eq!(run_to_dispatch(&mut mem2, &mut ifu2), MicroAddr::new(1));
-        assert_eq!(save_image(&ifu), save_image(&ifu2));
+        assert_eq!(save_image(&mut ifu), save_image(&mut ifu2));
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! processor").
 
 use crate::{Device, RatePacer};
-use dorado_base::snap::{Reader, SnapError, Snapshot, Writer};
+use dorado_base::snap::{Io, SnapError, Snapshot};
 use dorado_base::{ClockConfig, TaskId, Word};
 use std::collections::VecDeque;
 
@@ -107,32 +107,6 @@ impl DiskController {
     /// Whether a transfer is still in progress (medium side).
     pub fn busy(&self) -> bool {
         !matches!(self.mode, Mode::Idle) || !self.fifo.is_empty()
-    }
-
-    /// [`Snapshot::save`] with the pacer projected over `pending` skipped
-    /// quiescent cycles, so images are independent of the scheduling mode
-    /// (see [`Device::snapshot_save`]).
-    fn save_projected(&self, w: &mut Writer, pending: u64) {
-        w.tag(b"DISK");
-        w.u8(self.task.number());
-        self.pacer.advanced(pending).save(w);
-        match self.mode {
-            Mode::Idle => w.u8(0),
-            Mode::Reading { remaining } => {
-                w.u8(1);
-                w.u64(remaining as u64);
-            }
-            Mode::Writing { remaining } => {
-                w.u8(2);
-                w.u64(remaining as u64);
-            }
-        }
-        w.word_seq(self.fifo.iter().copied());
-        w.word_seq(self.platter.iter().copied());
-        w.u64(self.head as u64);
-        w.u64(self.committed as u64);
-        w.u64(self.overruns);
-        w.u64(self.underruns);
     }
 }
 
@@ -267,47 +241,36 @@ impl Device for DiskController {
         // advance the pacer phase.
         self.pacer = self.pacer.advanced(cycles);
     }
-
-    fn snapshot_save(&self, w: &mut Writer, pending: u64) {
-        self.save_projected(w, pending);
-    }
-
-    fn snapshot_restore(&mut self, r: &mut Reader<'_>) -> Result<(), SnapError> {
-        Snapshot::restore(self, r)
-    }
 }
 
 impl Snapshot for DiskController {
-    fn save(&self, w: &mut Writer) {
-        self.save_projected(w, 0);
-    }
-
-    fn restore(&mut self, r: &mut Reader<'_>) -> Result<(), SnapError> {
-        r.tag(b"DISK")?;
-        if r.u8()? != self.task.number() {
-            return Err(SnapError::Mismatch { what: "disk task" });
-        }
-        self.pacer.restore(r)?;
-        self.mode = match r.u8()? {
-            0 => Mode::Idle,
-            1 => Mode::Reading {
-                remaining: r.u64()? as usize,
-            },
-            2 => Mode::Writing {
-                remaining: r.u64()? as usize,
-            },
-            _ => return Err(SnapError::Invalid { what: "disk mode" }),
+    fn walk(&mut self, io: &mut Io<'_>) -> Result<(), SnapError> {
+        io.tag(b"DISK")?;
+        io.config(&self.task.number(), "disk task", Io::u8)?;
+        self.pacer.walk(io)?;
+        // The mode is a kind byte, then the remaining count unless idle.
+        let (mut kind, mut remaining) = match self.mode {
+            Mode::Idle => (0u8, 0),
+            Mode::Reading { remaining } => (1, remaining),
+            Mode::Writing { remaining } => (2, remaining),
         };
-        self.fifo = r.word_seq()?.into();
-        self.platter = r.word_seq()?;
-        self.head = r.u64()? as usize;
-        if self.head >= self.platter.len() {
-            return Err(SnapError::Invalid { what: "disk head" });
+        io.u8(&mut kind)?;
+        io.check(kind <= 2, "disk mode")?;
+        if kind != 0 {
+            io.usize(&mut remaining)?;
         }
-        self.committed = r.u64()? as usize;
-        self.overruns = r.u64()?;
-        self.underruns = r.u64()?;
-        Ok(())
+        self.mode = match kind {
+            0 => Mode::Idle,
+            1 => Mode::Reading { remaining },
+            _ => Mode::Writing { remaining },
+        };
+        io.word_seq(&mut self.fifo)?;
+        io.word_seq(&mut self.platter)?;
+        io.usize(&mut self.head)?;
+        io.check(self.head < self.platter.len(), "disk head")?;
+        io.usize(&mut self.committed)?;
+        io.u64(&mut self.overruns)?;
+        io.u64(&mut self.underruns)
     }
 }
 

@@ -19,7 +19,7 @@
 //! exactly as before: a pure bandwidth sink.
 
 use crate::{Device, Framebuffer, RatePacer};
-use dorado_base::snap::{Reader, SnapError, Snapshot, Writer};
+use dorado_base::snap::{Io, SnapError, Snapshot};
 use dorado_base::{ClockConfig, TaskId, Word, MUNCH_WORDS};
 use std::collections::VecDeque;
 
@@ -129,10 +129,10 @@ impl DisplayController {
         self.retrace
     }
 
-    /// Whether the dot-rate pacer runs: the *single* gate used by tick,
-    /// skip, and snapshot projection alike.  A stopped display freezes
-    /// the pacer in every mode and in the snapshot image, so a stopped
-    /// display's state round-trips exactly like a running one's.
+    /// Whether the dot-rate pacer runs: the *single* gate used by tick
+    /// and skip alike.  A stopped display freezes the pacer in both
+    /// scheduling modes, so a stopped display's state round-trips exactly
+    /// like a running one's.
     fn pacer_runs(&self) -> bool {
         self.active
     }
@@ -184,37 +184,6 @@ impl DisplayController {
                     }
                 }
             }
-        }
-    }
-
-    /// [`Snapshot::save`] with the pacer projected over `pending` skipped
-    /// quiescent cycles (see [`Device::snapshot_save`]).  The projection
-    /// applies exactly when [`Self::pacer_runs`] — the same predicate that
-    /// gates `tick` and `skip` — so images never depend on whether the
-    /// display was stopped, retracing, or running when they were taken.
-    fn save_projected(&self, w: &mut Writer, pending: u64) {
-        w.tag(b"DISP");
-        w.u8(self.task.number());
-        let pacer = if self.pacer_runs() {
-            self.pacer.advanced(pending)
-        } else {
-            self.pacer
-        };
-        pacer.save(w);
-        w.word_seq(self.fifo.iter().copied());
-        w.bool(self.active);
-        w.u64(self.committed as u64);
-        w.u64(self.painted);
-        w.u64(self.underruns);
-        w.word_seq(self.screen.iter().copied());
-        w.bool(self.retrace);
-        w.u64(self.blank);
-        match &self.fb {
-            Some(fb) => {
-                w.bool(true);
-                fb.save(w);
-            }
-            None => w.bool(false),
         }
     }
 }
@@ -314,48 +283,30 @@ impl Device for DisplayController {
             self.pacer = self.pacer.advanced(cycles);
         }
     }
-
-    fn snapshot_save(&self, w: &mut Writer, pending: u64) {
-        self.save_projected(w, pending);
-    }
-
-    fn snapshot_restore(&mut self, r: &mut Reader<'_>) -> Result<(), SnapError> {
-        Snapshot::restore(self, r)
-    }
 }
 
 impl Snapshot for DisplayController {
-    fn save(&self, w: &mut Writer) {
-        self.save_projected(w, 0);
-    }
-
-    fn restore(&mut self, r: &mut Reader<'_>) -> Result<(), SnapError> {
-        r.tag(b"DISP")?;
-        if r.u8()? != self.task.number() {
-            return Err(SnapError::Mismatch {
-                what: "display task",
-            });
-        }
-        self.pacer.restore(r)?;
-        self.fifo = r.word_seq()?.into();
-        self.active = r.bool()?;
-        self.committed = r.u64()? as usize;
-        self.painted = r.u64()?;
-        self.underruns = r.u64()?;
-        self.screen = r.word_seq()?;
-        self.retrace = r.bool()?;
-        self.blank = r.u64()?;
-        self.fb = if r.bool()? {
-            Some(Framebuffer::restore(r)?)
-        } else {
-            None
-        };
-        if self.retrace && self.fb.is_none() {
-            return Err(SnapError::Mismatch {
-                what: "display retrace without framebuffer",
-            });
-        }
-        Ok(())
+    fn walk(&mut self, io: &mut Io<'_>) -> Result<(), SnapError> {
+        io.tag(b"DISP")?;
+        io.config(&self.task.number(), "display task", Io::u8)?;
+        self.pacer.walk(io)?;
+        io.word_seq(&mut self.fifo)?;
+        io.bool(&mut self.active)?;
+        io.usize(&mut self.committed)?;
+        io.u64(&mut self.painted)?;
+        io.u64(&mut self.underruns)?;
+        io.word_seq(&mut self.screen)?;
+        io.bool(&mut self.retrace)?;
+        io.u64(&mut self.blank)?;
+        io.option(
+            &mut self.fb,
+            || Framebuffer::new(1, 1),
+            |io, fb| fb.walk(io),
+        )?;
+        io.check(
+            !self.retrace || self.fb.is_some(),
+            "display retrace without framebuffer",
+        )
     }
 }
 
@@ -491,7 +442,7 @@ mod tests {
         while !d.in_retrace() {
             d.tick();
         }
-        let img = save_image(&d);
+        let img = save_image(&mut d);
         let mut back = monitor();
         restore_image(&mut back, &img).unwrap();
         assert!(back.in_retrace());
@@ -499,15 +450,15 @@ mod tests {
             back.framebuffer().unwrap().hashes(),
             d.framebuffer().unwrap().hashes()
         );
-        assert_eq!(save_image(&back), img);
+        assert_eq!(save_image(&mut back), img);
     }
 
     #[test]
     fn stopped_display_snapshot_matches_running_gating() {
         // A display stopped mid-field must freeze its pacer identically in
-        // tick, skip, and the snapshot projection: the image of a stopped
-        // display taken with pending cycles equals the image taken after
-        // naive ticking over the same window.
+        // tick and skip: the image of a stopped display that skipped a
+        // quiescent window equals the image after naive ticking over the
+        // same window.
         let mut a = monitor();
         let mut b = monitor();
         for d in [&mut a, &mut b] {
@@ -518,16 +469,12 @@ mod tests {
             }
             d.stop();
         }
-        // `a` sits idle (scheduled mode: no ticks while stopped, snapshot
-        // projects over the pending window); `b` is naively ticked.
+        // `a` sits idle (scheduled mode: the window is skipped); `b` is
+        // naively ticked.
+        a.skip(500);
         for _ in 0..500 {
             b.tick();
         }
-        let mut w = Writer::new();
-        a.snapshot_save(&mut w, 500);
-        let image_a = w.finish();
-        let mut w = Writer::new();
-        b.snapshot_save(&mut w, 0);
-        assert_eq!(image_a, w.finish());
+        assert_eq!(save_image(&mut a), save_image(&mut b));
     }
 }

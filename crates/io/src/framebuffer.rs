@@ -15,8 +15,8 @@
 //! significant bit of the first word** — display order, the order the
 //! serializer shifts bits out to the monitor.
 
-use dorado_base::crc::{adler32, crc32, crc64_words, Crc64};
-use dorado_base::snap::{Reader, SnapError, Writer};
+use dorado_base::crc::{adler32, crc32, Crc64};
+use dorado_base::snap::{Io, SnapError, Snapshot};
 use dorado_base::Word;
 
 /// Cap on the retained hash log: long soaks keep the newest hashes
@@ -75,12 +75,6 @@ impl Framebuffer {
         self.lines
     }
 
-    /// Words per field.
-    #[must_use]
-    pub fn field_words(&self) -> usize {
-        self.pixels.len()
-    }
-
     /// Completed fields since power-on.
     #[must_use]
     pub fn fields(&self) -> u64 {
@@ -135,12 +129,6 @@ impl Framebuffer {
         } else {
             false
         }
-    }
-
-    /// CRC64 of the surface as it stands now (not of a scanned field).
-    #[must_use]
-    pub fn surface_hash(&self) -> u64 {
-        crc64_words(&self.pixels)
     }
 
     /// Whether pixel (`x`, `y`) is lit.  Display bit order: `x = 0` is
@@ -235,73 +223,35 @@ impl Framebuffer {
         chunk(b"IEND", &[]);
         png
     }
+}
 
-    /// Serialize the surface into a snapshot stream.  The running
-    /// mid-field CRC state is not stored: it is recomputed from the
-    /// surface prefix on restore, so images stay a pure function of the
+impl Snapshot for Framebuffer {
+    /// The running mid-field CRC state is not stored: a load recomputes
+    /// it from the surface prefix, so images stay a pure function of the
     /// architectural state.
-    pub fn save(&self, w: &mut Writer) {
-        w.tag(b"FRMB");
-        w.u16(self.width_words);
-        w.u16(self.lines);
-        w.word_seq(self.pixels.iter().copied());
-        w.u64(self.cursor as u64);
-        w.u64(self.fields);
-        w.len(self.hash_log.len());
-        for &h in &self.hash_log {
-            w.u64(h);
+    fn walk(&mut self, io: &mut Io<'_>) -> Result<(), SnapError> {
+        io.tag(b"FRMB")?;
+        io.u16(&mut self.width_words)?;
+        io.u16(&mut self.lines)?;
+        let size = usize::from(self.width_words) * usize::from(self.lines);
+        io.check(size > 0, "framebuffer geometry")?;
+        io.word_seq(&mut self.pixels)?;
+        io.check(self.pixels.len() == size, "framebuffer surface size")?;
+        io.usize(&mut self.cursor)?;
+        io.check(self.cursor < size, "framebuffer cursor")?;
+        io.u64(&mut self.fields)?;
+        io.seq(&mut self.hash_log, Io::u64)?;
+        io.check(
+            self.hash_log.len() <= HASH_LOG_LIMIT,
+            "framebuffer hash log",
+        )?;
+        if io.is_load() {
+            self.running = Crc64::new();
+            for &w in &self.pixels[..self.cursor] {
+                self.running.update_word(w);
+            }
         }
-    }
-
-    /// Restore a surface from a snapshot stream.
-    ///
-    /// # Errors
-    /// Fails on a malformed stream or degenerate geometry.
-    pub fn restore(r: &mut Reader) -> Result<Self, SnapError> {
-        r.tag(b"FRMB")?;
-        let width_words = r.u16()?;
-        let lines = r.u16()?;
-        if width_words == 0 || lines == 0 {
-            return Err(SnapError::Mismatch {
-                what: "framebuffer geometry",
-            });
-        }
-        let pixels = r.word_seq()?;
-        if pixels.len() != usize::from(width_words) * usize::from(lines) {
-            return Err(SnapError::Mismatch {
-                what: "framebuffer surface size",
-            });
-        }
-        let cursor = r.u64()? as usize;
-        if cursor >= pixels.len() {
-            return Err(SnapError::Mismatch {
-                what: "framebuffer cursor",
-            });
-        }
-        let fields = r.u64()?;
-        let n = r.len()?;
-        if n > HASH_LOG_LIMIT {
-            return Err(SnapError::Mismatch {
-                what: "framebuffer hash log",
-            });
-        }
-        let mut hash_log = Vec::with_capacity(n);
-        for _ in 0..n {
-            hash_log.push(r.u64()?);
-        }
-        let mut running = Crc64::new();
-        for &w in &pixels[..cursor] {
-            running.update_word(w);
-        }
-        Ok(Framebuffer {
-            width_words,
-            lines,
-            pixels,
-            cursor,
-            fields,
-            hash_log,
-            running,
-        })
+        Ok(())
     }
 }
 
@@ -309,6 +259,7 @@ impl Framebuffer {
 mod tests {
     use super::*;
     use dorado_base::crc::crc64_words;
+    use dorado_base::snap::{restore_image, save_image};
 
     #[test]
     fn field_completion_hashes_the_scanned_words() {
@@ -389,12 +340,8 @@ mod tests {
         fb.push(3);
         fb.push(4);
         fb.push(0x0F0F); // mid-field: cursor 1, running CRC live
-        let mut w = Writer::new();
-        fb.save(&mut w);
-        let bytes = w.finish();
-        let mut r = Reader::open(&bytes).unwrap();
-        let mut back = Framebuffer::restore(&mut r).unwrap();
-        r.finish().unwrap();
+        let mut back = Framebuffer::new(1, 1);
+        restore_image(&mut back, &save_image(&mut fb)).unwrap();
         assert_eq!(back.cursor(), fb.cursor());
         assert_eq!(back.fields(), fb.fields());
         assert_eq!(back.hashes(), fb.hashes());

@@ -14,7 +14,7 @@
 //! that slow I/O comfortably absorbs human-speed devices.
 
 use crate::Device;
-use dorado_base::snap::{Reader, SnapError, Snapshot, Writer};
+use dorado_base::snap::{Io, SnapError, Snapshot};
 use dorado_base::{TaskId, Word};
 use std::collections::VecDeque;
 
@@ -107,15 +107,6 @@ impl InputDevice {
         self.script.len()
     }
 
-    /// Mean service latency in cycles over serviced events.
-    pub fn latency_mean(&self) -> f64 {
-        if self.serviced == 0 {
-            0.0
-        } else {
-            self.latency_total as f64 / self.serviced as f64
-        }
-    }
-
     /// Move script events whose stamp has arrived into the FIFO.
     fn deliver_due(&mut self) {
         while let Some(&(at, w)) = self.script.front() {
@@ -201,93 +192,37 @@ impl Device for InputDevice {
     fn skip(&mut self, cycles: u64) {
         self.clock += cycles;
     }
-
-    fn snapshot_save(&self, w: &mut Writer, pending: u64) {
-        w.tag(b"INPT");
-        w.u8(match self.kind {
-            InputKind::Keyboard => 0,
-            InputKind::Mouse => 1,
-        });
-        w.u8(self.task.number());
-        // The clock free-runs through quiescent windows: project it so
-        // images do not depend on the scheduling mode.
-        w.u64(self.clock + pending);
-        w.len(self.script.len());
-        for &(at, word) in &self.script {
-            w.u64(at);
-            w.u16(word);
-        }
-        w.len(self.fifo.len());
-        for &(word, at) in &self.fifo {
-            w.u16(word);
-            w.u64(at);
-        }
-        w.u64(self.committed as u64);
-        w.u64(self.delivered);
-        w.u64(self.serviced);
-        w.u64(self.dropped);
-        w.u64(self.latency_total);
-        w.u64(self.latency_max);
-    }
-
-    fn snapshot_restore(&mut self, r: &mut Reader<'_>) -> Result<(), SnapError> {
-        Snapshot::restore(self, r)
-    }
 }
 
 impl Snapshot for InputDevice {
-    fn save(&self, w: &mut Writer) {
-        self.snapshot_save(w, 0);
-    }
-
-    fn restore(&mut self, r: &mut Reader<'_>) -> Result<(), SnapError> {
-        r.tag(b"INPT")?;
-        let kind = match r.u8()? {
-            0 => InputKind::Keyboard,
-            1 => InputKind::Mouse,
-            _ => {
-                return Err(SnapError::Mismatch {
-                    what: "input device kind",
-                })
-            }
+    fn walk(&mut self, io: &mut Io<'_>) -> Result<(), SnapError> {
+        io.tag(b"INPT")?;
+        let kind = match self.kind {
+            InputKind::Keyboard => 0u8,
+            InputKind::Mouse => 1,
         };
-        if kind != self.kind {
-            return Err(SnapError::Mismatch {
-                what: "input device kind",
-            });
-        }
-        if r.u8()? != self.task.number() {
-            return Err(SnapError::Mismatch {
-                what: "input device task",
-            });
-        }
-        self.clock = r.u64()?;
-        let n = r.len()?;
-        self.script.clear();
-        for _ in 0..n {
-            let at = r.u64()?;
-            let word = r.u16()?;
-            self.script.push_back((at, word));
-        }
-        let n = r.len()?;
-        self.fifo.clear();
-        for _ in 0..n {
-            let word = r.u16()?;
-            let at = r.u64()?;
-            self.fifo.push_back((word, at));
-        }
-        if self.fifo.len() > FIFO_WORDS {
-            return Err(SnapError::Mismatch {
-                what: "input FIFO depth",
-            });
-        }
-        self.committed = r.u64()? as usize;
-        self.delivered = r.u64()?;
-        self.serviced = r.u64()?;
-        self.dropped = r.u64()?;
-        self.latency_total = r.u64()?;
-        self.latency_max = r.u64()?;
-        Ok(())
+        io.config(&kind, "input device kind", Io::u8)?;
+        io.config(&self.task.number(), "input device task", Io::u8)?;
+        io.u64(&mut self.clock)?;
+        io.seq(&mut self.script, |io, (at, word)| {
+            io.u64(at)?;
+            io.u16(word)
+        })?;
+        io.seq(&mut self.fifo, |io, (word, at)| {
+            io.u16(word)?;
+            io.u64(at)
+        })?;
+        io.check(self.fifo.len() <= FIFO_WORDS, "input FIFO depth")?;
+        io.usize(&mut self.committed)?;
+        [
+            &mut self.delivered,
+            &mut self.serviced,
+            &mut self.dropped,
+            &mut self.latency_total,
+            &mut self.latency_max,
+        ]
+        .into_iter()
+        .try_for_each(|v| io.u64(v))
     }
 }
 
@@ -358,7 +293,7 @@ mod tests {
         sched.tick();
         assert!(sched.wakeup());
         assert_eq!(due + 1, t, "wakeup rises on the same tick in both modes");
-        assert_eq!(save_image(&sched), save_image(&naive));
+        assert_eq!(save_image(&mut sched), save_image(&mut naive));
     }
 
     #[test]
@@ -381,33 +316,30 @@ mod tests {
             k.tick();
         }
         assert_eq!(k.input(0), 10);
-        let img = save_image(&k);
+        let img = save_image(&mut k);
         let mut back = InputDevice::keyboard(TaskId::new(9));
         restore_image(&mut back, &img).unwrap();
-        assert_eq!(save_image(&back), img);
+        assert_eq!(save_image(&mut back), img);
         // Identical future behaviour.
         for _ in 0..90 {
             k.tick();
             back.tick();
         }
         assert_eq!(k.input(0), back.input(0));
-        assert_eq!(save_image(&k), save_image(&back));
+        assert_eq!(save_image(&mut k), save_image(&mut back));
     }
 
     #[test]
-    fn projected_clock_is_mode_independent() {
+    fn skipped_clock_is_mode_independent() {
         let mut naive = InputDevice::mouse(TaskId::new(8));
-        let sched = InputDevice::mouse(TaskId::new(8));
+        let mut sched = InputDevice::mouse(TaskId::new(8));
         for _ in 0..123 {
             naive.tick();
         }
-        // Scheduled mode never ticked the idle device; the snapshot layer
-        // passes the pending window instead.
-        let mut w = Writer::new();
-        sched.snapshot_save(&mut w, 123);
-        let mut nw = Writer::new();
-        naive.snapshot_save(&mut nw, 0);
-        assert_eq!(w.finish(), nw.finish());
+        // Scheduled mode never ticked the idle device; the I/O system
+        // folds the window in with a skip before any save.
+        sched.skip(123);
+        assert_eq!(save_image(&mut sched), save_image(&mut naive));
     }
 
     #[test]

@@ -34,7 +34,7 @@ pub use input::InputDevice;
 pub use network::NetworkController;
 pub use synth::RateDevice;
 
-use dorado_base::snap::{Reader, SnapError, Snapshot, Writer};
+use dorado_base::snap::{Io, SnapError, Snapshot};
 use dorado_base::task::TaskSet;
 use dorado_base::{ClockConfig, TaskId, Word, MUNCH_WORDS};
 
@@ -45,7 +45,14 @@ use dorado_base::{ClockConfig, TaskId, Word, MUNCH_WORDS};
 /// Controllers are plain data and must be [`Send`] so whole machines can
 /// move onto worker threads (the cluster's pool executor hands machines
 /// to its workers).
-pub trait Device: std::fmt::Debug + std::any::Any + Send {
+///
+/// Every controller is a [`Snapshot`]: its walk covers its dynamic state
+/// as a naively ticked device would hold it.  A save is an external
+/// access like any other, so [`IoSystem`] folds the cycles its scheduler
+/// skipped into the device ([`Device::skip`]) before walking it, and the
+/// plain image of a synced device is the same under either scheduling
+/// mode.
+pub trait Device: std::fmt::Debug + std::any::Any + Send + Snapshot {
     /// A short name for traces.
     fn name(&self) -> &str;
 
@@ -138,29 +145,6 @@ pub trait Device: std::fmt::Debug + std::any::Any + Send {
     /// instead of being forced awake by an unconditional mutable lookup.
     fn tx_pending(&self) -> bool {
         false
-    }
-
-    /// Serializes the device's dynamic state into a snapshot (the
-    /// object-safe face of [`Snapshot::save`]).  `pending` is the number of
-    /// quiescent cycles the scheduler has skipped but not yet folded in via
-    /// [`Device::skip`]; devices with free-running state must serialize it
-    /// *projected forward* by `pending` cycles so an image taken under the
-    /// event-horizon scheduler is byte-identical to one taken under naive
-    /// per-cycle ticking.  Stateless devices may keep the default no-op,
-    /// paired with the default [`Device::snapshot_restore`].
-    fn snapshot_save(&self, w: &mut Writer, pending: u64) {
-        let _ = (w, pending);
-    }
-
-    /// Restores the device's dynamic state from a snapshot.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`SnapError`] if the image is malformed or was taken from
-    /// a device with different configuration.
-    fn snapshot_restore(&mut self, r: &mut Reader<'_>) -> Result<(), SnapError> {
-        let _ = r;
-        Ok(())
     }
 }
 
@@ -619,74 +603,45 @@ impl RatePacer {
 }
 
 impl Snapshot for RatePacer {
-    fn save(&self, w: &mut Writer) {
-        w.u64(self.num);
-        w.u64(self.den);
-        w.u64(self.acc);
-    }
-
-    fn restore(&mut self, r: &mut Reader<'_>) -> Result<(), SnapError> {
-        // num/den are configuration; only the accumulator phase is dynamic.
-        if r.u64()? != self.num || r.u64()? != self.den {
-            return Err(SnapError::Mismatch { what: "pacer rate" });
-        }
-        self.acc = r.u64()?;
-        Ok(())
+    /// num/den are configuration; only the accumulator phase is dynamic.
+    fn walk(&mut self, io: &mut Io<'_>) -> Result<(), SnapError> {
+        io.config(&self.num, "pacer rate", Io::u64)?;
+        io.config(&self.den, "pacer rate", Io::u64)?;
+        io.u64(&mut self.acc)?;
+        io.check(self.acc < self.den, "pacer phase")
     }
 }
 
 impl Snapshot for IoSystem {
-    fn save(&self, w: &mut Writer) {
-        w.tag(b"IOSY");
-        match self.last_next {
-            Some(t) => {
-                w.bool(true);
-                w.u8(t.number());
-            }
-            None => w.bool(false),
+    fn walk(&mut self, io: &mut Io<'_>) -> Result<(), SnapError> {
+        io.tag(b"IOSY")?;
+        // A save is an external access: fold the skipped cycles into every
+        // device, so its plain image is the naively ticked one.
+        for i in 0..self.devices.len() {
+            self.sync_device(i);
         }
-        w.u64(self.now);
-        w.len(self.devices.len());
-        for a in &self.devices {
-            w.byte_seq(a.device.name().bytes());
-            // Serialize free-running state projected over the cycles the
-            // scheduler skipped but has not yet folded in: images must not
-            // depend on the scheduling mode.
-            a.device.snapshot_save(w, self.now - a.synced_at);
-        }
-    }
-
-    fn restore(&mut self, r: &mut Reader<'_>) -> Result<(), SnapError> {
-        r.tag(b"IOSY")?;
-        self.last_next = if r.bool()? {
-            Some(TaskId::new(r.u8()?))
-        } else {
-            None
-        };
-        self.now = r.u64()?;
-        if r.len()? != self.devices.len() {
-            return Err(SnapError::Mismatch {
-                what: "device count",
-            });
-        }
+        io.option(&mut self.last_next, TaskId::default, Io::task)?;
+        io.u64(&mut self.now)?;
+        io.config(&self.devices.len(), "device count", Io::usize)?;
         for a in &mut self.devices {
-            if r.byte_seq()? != a.device.name().as_bytes() {
-                return Err(SnapError::Mismatch {
-                    what: "device order",
-                });
-            }
-            a.device.snapshot_restore(r)?;
+            let name = a.device.name().as_bytes().to_vec();
+            io.config(&name, "device order", Io::byte_seq)?;
+            a.device.walk(io)?;
+        }
+        if io.is_load() {
             // Scheduler bookkeeping is derived, not serialized: a restored
             // device is fully synced, and its due cycle is recomputed from
             // the restored state.
-            a.synced_at = self.now;
-            a.due = Self::due_of(a.device.as_ref(), self.now);
-            a.wake = a.device.wakeup();
+            for a in &mut self.devices {
+                a.synced_at = self.now;
+                a.due = Self::due_of(a.device.as_ref(), self.now);
+                a.wake = a.device.wakeup();
+            }
+            // The decode hint indexes the pre-restore access pattern; drop
+            // it so no fast path can act on it against the restored state.
+            self.last_decode = 0;
+            self.rebuild_summary();
         }
-        // The decode hint indexes the pre-restore access pattern; drop it
-        // so no fast path can act on it against the restored state.
-        self.last_decode = 0;
-        self.rebuild_summary();
         Ok(())
     }
 }
@@ -700,6 +655,12 @@ mod tests {
         task: TaskId,
         last: Word,
         wake: bool,
+    }
+
+    impl Snapshot for Echo {
+        fn walk(&mut self, _: &mut Io<'_>) -> Result<(), SnapError> {
+            Ok(())
+        }
     }
 
     impl Device for Echo {
@@ -817,18 +778,18 @@ mod tests {
             a.tick();
         }
         a.observe_next(TaskId::new(13));
-        let img = save_image(&a);
+        let img = save_image(&mut a);
 
         let mut b = build();
         restore_image(&mut b, &img).unwrap();
-        assert_eq!(save_image(&b), img);
+        assert_eq!(save_image(&mut b), img);
         assert_eq!(a.wakeups(), b.wakeups());
         for _ in 0..100 {
             a.tick();
             b.tick();
         }
         assert_eq!(a.input(0x30), b.input(0x30));
-        assert_eq!(save_image(&a), save_image(&b));
+        assert_eq!(save_image(&mut a), save_image(&mut b));
 
         // Device-order mismatch is rejected.
         let mut wrong = IoSystem::new();
@@ -897,6 +858,12 @@ mod tests {
         clock: u64,
         ticks: u64,
         events: u64,
+    }
+
+    impl Snapshot for Horizon {
+        fn walk(&mut self, _: &mut Io<'_>) -> Result<(), SnapError> {
+            Ok(())
+        }
     }
 
     impl Device for Horizon {

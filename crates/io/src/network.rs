@@ -9,7 +9,7 @@
 //! peer controller.
 
 use crate::{Device, RatePacer};
-use dorado_base::snap::{Reader, SnapError, Snapshot, Writer};
+use dorado_base::snap::{Io, SnapError, Snapshot};
 use dorado_base::{ClockConfig, TaskId, Word};
 use std::collections::VecDeque;
 
@@ -95,10 +95,12 @@ impl NetworkController {
         }
     }
 
-    /// Queues a packet to arrive from the wire.
+    /// Queues a packet to arrive from the wire.  An empty packet carries
+    /// nothing to receive and is discarded.
     pub fn inject_packet(&mut self, words: Vec<Word>) {
-        assert!(!words.is_empty(), "packets must be non-empty");
-        self.inbound.push_back(words);
+        if !words.is_empty() {
+            self.inbound.push_back(words);
+        }
     }
 
     /// Whether any receive work remains.
@@ -140,43 +142,6 @@ impl NetworkController {
     /// Words fully transmitted since reset (survives draining).
     pub fn tx_words(&self) -> u64 {
         self.tx_words
-    }
-
-    /// [`Snapshot::save`] with the pacer projected over `pending` skipped
-    /// quiescent cycles (see [`Device::snapshot_save`]).  The line clock
-    /// runs whether or not traffic is flowing, so the projection always
-    /// applies.
-    fn save_projected(&self, w: &mut Writer, pending: u64) {
-        w.tag(b"NETC");
-        w.u8(self.task.number());
-        self.pacer.advanced(pending).save(w);
-        // The local clock free-runs like the pacer: project it over the
-        // skipped window so scheduled and naive images agree byte for byte.
-        w.u64(self.clock + pending);
-        w.len(self.inbound.len());
-        for pkt in &self.inbound {
-            w.word_seq(pkt.iter().copied());
-        }
-        w.u64(self.rx_pos as u64);
-        w.u64(self.rx_accepted as u64);
-        w.len(self.rx_fifo.len());
-        for &(word, end) in &self.rx_fifo {
-            w.u16(word);
-            w.bool(end);
-        }
-        w.u64(self.rx_boundaries as u64);
-        w.u64(self.committed as u64);
-        w.word_seq(self.tx_fifo.iter().copied());
-        w.word_seq(self.tx_current.iter().copied());
-        w.len(self.transmitted.len());
-        for (at, pkt) in &self.transmitted {
-            w.u64(*at);
-            w.word_seq(pkt.iter().copied());
-        }
-        w.u64(self.overruns);
-        w.u64(self.truncated_packets);
-        w.u64(self.tx_packets);
-        w.u64(self.tx_words);
     }
 }
 
@@ -316,78 +281,50 @@ impl Device for NetworkController {
     fn tx_pending(&self) -> bool {
         self.has_transmitted()
     }
-
-    fn snapshot_save(&self, w: &mut Writer, pending: u64) {
-        self.save_projected(w, pending);
-    }
-
-    fn snapshot_restore(&mut self, r: &mut Reader<'_>) -> Result<(), SnapError> {
-        Snapshot::restore(self, r)
-    }
 }
 
-/// Reads one whole packet from an image: packets are never empty.
-fn packet(r: &mut Reader<'_>) -> Result<Vec<Word>, SnapError> {
-    let words = r.word_seq()?;
-    if words.is_empty() {
-        return Err(SnapError::Invalid {
-            what: "empty network packet",
-        });
-    }
-    Ok(words)
+/// Walks one whole packet: packets are never empty.
+fn packet(io: &mut Io<'_>, words: &mut Vec<Word>) -> Result<(), SnapError> {
+    io.word_seq(words)?;
+    io.check(!words.is_empty(), "empty network packet")
 }
 
 impl Snapshot for NetworkController {
-    fn save(&self, w: &mut Writer) {
-        self.save_projected(w, 0);
-    }
-
-    fn restore(&mut self, r: &mut Reader<'_>) -> Result<(), SnapError> {
-        r.tag(b"NETC")?;
-        if r.u8()? != self.task.number() {
-            return Err(SnapError::Mismatch {
-                what: "network task",
-            });
-        }
-        self.pacer.restore(r)?;
-        self.clock = r.u64()?;
-        let inbound = r.len()?;
-        self.inbound.clear();
-        for _ in 0..inbound {
-            self.inbound.push_back(packet(r)?);
-        }
-        self.rx_pos = r.u64()? as usize;
-        self.rx_accepted = r.u64()? as usize;
+    fn walk(&mut self, io: &mut Io<'_>) -> Result<(), SnapError> {
+        io.tag(b"NETC")?;
+        io.config(&self.task.number(), "network task", Io::u8)?;
+        self.pacer.walk(io)?;
+        io.u64(&mut self.clock)?;
+        io.seq(&mut self.inbound, packet)?;
+        io.usize(&mut self.rx_pos)?;
+        io.usize(&mut self.rx_accepted)?;
         // The receive cursor lies inside the in-progress (front) packet,
         // and only words it has passed can have entered the FIFO.
         let front_len = self.inbound.front().map_or(1, Vec::len);
-        if self.rx_pos >= front_len || self.rx_accepted > self.rx_pos {
-            return Err(SnapError::Invalid {
-                what: "network receive position",
-            });
-        }
-        let fifo = r.len()?;
-        self.rx_fifo.clear();
-        for _ in 0..fifo {
-            let word = r.u16()?;
-            let end = r.bool()?;
-            self.rx_fifo.push_back((word, end));
-        }
-        self.rx_boundaries = r.u64()? as usize;
-        self.committed = r.u64()? as usize;
-        self.tx_fifo = r.word_seq()?.into();
-        self.tx_current = r.word_seq()?;
-        let transmitted = r.len()?;
-        self.transmitted.clear();
-        for _ in 0..transmitted {
-            let at = r.u64()?;
-            self.transmitted.push((at, packet(r)?));
-        }
-        self.overruns = r.u64()?;
-        self.truncated_packets = r.u64()?;
-        self.tx_packets = r.u64()?;
-        self.tx_words = r.u64()?;
-        Ok(())
+        io.check(
+            self.rx_pos < front_len && self.rx_accepted <= self.rx_pos,
+            "network receive position",
+        )?;
+        io.seq(&mut self.rx_fifo, |io, (word, end)| {
+            io.u16(word)?;
+            io.bool(end)
+        })?;
+        io.usize(&mut self.rx_boundaries)?;
+        io.usize(&mut self.committed)?;
+        io.word_seq(&mut self.tx_fifo)?;
+        io.word_seq(&mut self.tx_current)?;
+        io.seq(&mut self.transmitted, |io, (at, pkt)| {
+            io.u64(at)?;
+            packet(io, pkt)
+        })?;
+        [
+            &mut self.overruns,
+            &mut self.truncated_packets,
+            &mut self.tx_packets,
+            &mut self.tx_words,
+        ]
+        .into_iter()
+        .try_for_each(|v| io.u64(v))
     }
 }
 
@@ -523,10 +460,10 @@ mod tests {
         for _ in 0..150 {
             n.tick(); // partway through the inbound packet
         }
-        let img = save_image(&n);
+        let img = save_image(&mut n);
         let mut m = net();
         restore_image(&mut m, &img).unwrap();
-        assert_eq!(save_image(&m), img);
+        assert_eq!(save_image(&mut m), img);
         for _ in 0..200 {
             n.tick();
             m.tick();
@@ -535,7 +472,7 @@ mod tests {
         m.output(2, 0);
         assert_eq!(n.transmitted, m.transmitted);
         assert_eq!((n.input(3), n.input(0)), (m.input(3), m.input(0)));
-        assert_eq!(save_image(&n), save_image(&m));
+        assert_eq!(save_image(&mut n), save_image(&mut m));
 
         // A snapshot from a differently-wired controller is rejected.
         let mut other = NetworkController::new(TaskId::new(9));
@@ -550,14 +487,14 @@ mod tests {
     #[test]
     fn restore_rejects_empty_packets_and_stray_receive_positions() {
         use dorado_base::snap::{restore_image, save_image};
-        let invalid = |n: &NetworkController| restore_image(&mut net(), &save_image(n));
+        let invalid = |n: &mut NetworkController| restore_image(&mut net(), &save_image(n));
         let mut n = net();
         n.inbound.push_back(vec![]);
-        assert!(matches!(invalid(&n), Err(SnapError::Invalid { .. })));
+        assert!(matches!(invalid(&mut n), Err(SnapError::Invalid { .. })));
 
         let mut n = net();
         n.transmitted.push((0, vec![]));
-        assert!(matches!(invalid(&n), Err(SnapError::Invalid { .. })));
+        assert!(matches!(invalid(&mut n), Err(SnapError::Invalid { .. })));
 
         for (inbound, rx_pos, rx_accepted) in [(None, 1, 0), (Some(3), 3, 0), (Some(3), 1, 2)] {
             let mut n = net();
@@ -565,7 +502,7 @@ mod tests {
             n.rx_pos = rx_pos;
             n.rx_accepted = rx_accepted;
             assert!(
-                matches!(invalid(&n), Err(SnapError::Invalid { .. })),
+                matches!(invalid(&mut n), Err(SnapError::Invalid { .. })),
                 "inbound {inbound:?} rx_pos {rx_pos} rx_accepted {rx_accepted}"
             );
         }
@@ -613,8 +550,13 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "non-empty")]
-    fn empty_packets_rejected() {
-        net().inject_packet(vec![]);
+    fn empty_packets_are_discarded() {
+        use dorado_base::snap::save_image;
+        let mut n = net();
+        n.inject_packet(vec![4, 5]);
+        let before = save_image(&mut n);
+        n.inject_packet(vec![]);
+        assert_eq!(save_image(&mut n), before);
+        assert_eq!(n.inbound.len(), 1);
     }
 }

@@ -2,7 +2,7 @@
 //! sweeps (processor share vs device bandwidth, experiments E3/E4/E7).
 
 use crate::{Device, RatePacer};
-use dorado_base::snap::{Reader, SnapError, Snapshot, Writer};
+use dorado_base::snap::{Io, SnapError, Snapshot};
 use dorado_base::{ClockConfig, TaskId, Word, MUNCH_WORDS};
 use std::collections::VecDeque;
 
@@ -79,33 +79,6 @@ impl RateDevice {
     /// Stops the data flow.
     pub fn stop(&mut self) {
         self.active = false;
-    }
-
-    /// The configured rate in words per cycle.
-    pub fn words_per_cycle(&self) -> f64 {
-        self.pacer.rate()
-    }
-
-    /// [`Snapshot::save`] with the pacer projected over `pending` skipped
-    /// quiescent cycles (see [`Device::snapshot_save`]).  A stopped
-    /// device's tick returns before stepping the pacer, so the projection
-    /// only applies while the flow is running.
-    fn save_projected(&self, w: &mut Writer, pending: u64) {
-        w.tag(b"SYNT");
-        w.u8(self.task.number());
-        let pacer = if self.active {
-            self.pacer.advanced(pending)
-        } else {
-            self.pacer
-        };
-        pacer.save(w);
-        w.word_seq(self.fifo.iter().copied());
-        w.u64(self.words_per_service as u64);
-        w.u16(self.next_value);
-        w.u64(self.committed as u64);
-        w.u64(self.generated);
-        w.u64(self.overruns);
-        w.bool(self.active);
     }
 }
 
@@ -195,37 +168,20 @@ impl Device for RateDevice {
             self.pacer = self.pacer.advanced(cycles);
         }
     }
-
-    fn snapshot_save(&self, w: &mut Writer, pending: u64) {
-        self.save_projected(w, pending);
-    }
-
-    fn snapshot_restore(&mut self, r: &mut Reader<'_>) -> Result<(), SnapError> {
-        Snapshot::restore(self, r)
-    }
 }
 
 impl Snapshot for RateDevice {
-    fn save(&self, w: &mut Writer) {
-        self.save_projected(w, 0);
-    }
-
-    fn restore(&mut self, r: &mut Reader<'_>) -> Result<(), SnapError> {
-        r.tag(b"SYNT")?;
-        if r.u8()? != self.task.number() {
-            return Err(SnapError::Mismatch {
-                what: "rate-device task",
-            });
-        }
-        self.pacer.restore(r)?;
-        self.fifo = r.word_seq()?.into();
-        self.words_per_service = r.u64()? as usize;
-        self.next_value = r.u16()?;
-        self.committed = r.u64()? as usize;
-        self.generated = r.u64()?;
-        self.overruns = r.u64()?;
-        self.active = r.bool()?;
-        Ok(())
+    fn walk(&mut self, io: &mut Io<'_>) -> Result<(), SnapError> {
+        io.tag(b"SYNT")?;
+        io.config(&self.task.number(), "rate-device task", Io::u8)?;
+        self.pacer.walk(io)?;
+        io.word_seq(&mut self.fifo)?;
+        io.usize(&mut self.words_per_service)?;
+        io.u16(&mut self.next_value)?;
+        io.usize(&mut self.committed)?;
+        io.u64(&mut self.generated)?;
+        io.u64(&mut self.overruns)?;
+        io.bool(&mut self.active)
     }
 }
 

@@ -6,7 +6,7 @@
 //!
 //! [`MemorySystem`]: crate::MemorySystem
 
-use dorado_base::snap::{Reader, SnapError, Snapshot, Writer};
+use dorado_base::snap::{Io, SnapError, Snapshot};
 use dorado_base::{VirtAddr, Word, MUNCH_WORDS};
 
 /// One cache line: a munch of data plus its tags.
@@ -188,34 +188,17 @@ impl Cache {
 }
 
 impl Snapshot for Cache {
-    fn save(&self, w: &mut Writer) {
-        w.tag(b"CACH");
-        w.len(self.sets);
-        w.len(self.assoc);
-        w.u64(self.clock);
-        for line in &self.lines {
-            w.u32(line.tag);
-            w.bool(line.valid);
-            w.bool(line.dirty);
-            w.u64(line.stamp);
-            w.words(&line.data);
-        }
-    }
-
-    fn restore(&mut self, r: &mut Reader<'_>) -> Result<(), SnapError> {
-        r.tag(b"CACH")?;
-        if r.len()? != self.sets || r.len()? != self.assoc {
-            return Err(SnapError::Mismatch {
-                what: "cache geometry",
-            });
-        }
-        self.clock = r.u64()?;
+    fn walk(&mut self, io: &mut Io<'_>) -> Result<(), SnapError> {
+        io.tag(b"CACH")?;
+        io.config(&self.sets, "cache geometry", Io::usize)?;
+        io.config(&self.assoc, "cache geometry", Io::usize)?;
+        io.u64(&mut self.clock)?;
         for line in &mut self.lines {
-            line.tag = r.u32()?;
-            line.valid = r.bool()?;
-            line.dirty = r.bool()?;
-            line.stamp = r.u64()?;
-            r.words(&mut line.data)?;
+            io.u32(&mut line.tag)?;
+            io.bool(&mut line.valid)?;
+            io.bool(&mut line.dirty)?;
+            io.u64(&mut line.stamp)?;
+            io.words(&mut line.data)?;
         }
         Ok(())
     }
@@ -297,8 +280,8 @@ mod tests {
         c.write(addr(3), 0xbeef);
 
         let mut d = Cache::new(1, 2);
-        restore_image(&mut d, &save_image(&c)).unwrap();
-        assert_eq!(save_image(&c), save_image(&d));
+        restore_image(&mut d, &save_image(&mut c)).unwrap();
+        assert_eq!(save_image(&mut c), save_image(&mut d));
         // The restored cache must make the same replacement decision.
         for m in [&mut c, &mut d] {
             m.fill(addr(32), [3; MUNCH_WORDS]);
@@ -310,7 +293,7 @@ mod tests {
         // Geometry mismatch is rejected, not silently misapplied.
         let mut wrong = Cache::new(2, 2);
         assert_eq!(
-            restore_image(&mut wrong, &save_image(&c)).unwrap_err(),
+            restore_image(&mut wrong, &save_image(&mut c)).unwrap_err(),
             SnapError::Mismatch {
                 what: "cache geometry"
             }

@@ -8,7 +8,7 @@
 
 use std::collections::HashMap;
 
-use dorado_base::snap::{Reader, SnapError, Snapshot, Writer};
+use dorado_base::snap::{Io, SnapError, Snapshot};
 use dorado_base::{RealAddr, VirtAddr};
 
 /// A page map from 28-bit virtual addresses to real storage addresses.
@@ -72,41 +72,21 @@ impl Map {
 }
 
 impl Snapshot for Map {
-    fn save(&self, w: &mut Writer) {
-        w.tag(b"PMAP");
-        w.u32(self.page_words);
-        w.u32(self.storage_words);
+    fn walk(&mut self, io: &mut Io<'_>) -> Result<(), SnapError> {
+        io.tag(b"PMAP")?;
+        io.config(&self.page_words, "map geometry", Io::u32)?;
+        io.config(&self.storage_words, "map geometry", Io::u32)?;
         // HashMap iteration order is nondeterministic; sort by key so the
         // same map always serializes to the same bytes (and checksum).
         let mut entries: Vec<(u32, Option<u32>)> =
             self.overrides.iter().map(|(&k, &v)| (k, v)).collect();
         entries.sort_unstable_by_key(|&(k, _)| k);
-        w.len(entries.len());
-        for (vpage, rpage) in entries {
-            w.u32(vpage);
-            match rpage {
-                Some(rp) => {
-                    w.bool(true);
-                    w.u32(rp);
-                }
-                None => w.bool(false),
-            }
-        }
-    }
-
-    fn restore(&mut self, r: &mut Reader<'_>) -> Result<(), SnapError> {
-        r.tag(b"PMAP")?;
-        if r.u32()? != self.page_words || r.u32()? != self.storage_words {
-            return Err(SnapError::Mismatch {
-                what: "map geometry",
-            });
-        }
-        let n = r.len()?;
-        self.overrides.clear();
-        for _ in 0..n {
-            let vpage = r.u32()?;
-            let rpage = if r.bool()? { Some(r.u32()?) } else { None };
-            self.overrides.insert(vpage, rpage);
+        io.seq(&mut entries, |io, (vpage, rpage)| {
+            io.u32(vpage)?;
+            io.option(rpage, || 0, Io::u32)
+        })?;
+        if io.is_load() {
+            self.overrides = entries.into_iter().collect();
         }
         Ok(())
     }
@@ -164,9 +144,9 @@ mod tests {
         b.map_page(9, 2);
         b.map_page(3, 7);
         b.unmap_page(1);
-        assert_eq!(save_image(&a), save_image(&b));
+        assert_eq!(save_image(&mut a), save_image(&mut b));
         let mut c = Map::identity(4096, 256);
-        restore_image(&mut c, &save_image(&a)).unwrap();
+        restore_image(&mut c, &save_image(&mut a)).unwrap();
         for v in [0u32, 255, 256, 3 * 256 + 5, 9 * 256] {
             assert_eq!(a.translate(VirtAddr::new(v)), c.translate(VirtAddr::new(v)));
         }

@@ -4,7 +4,7 @@
 //! Data moves to and from storage in 16-word munches; the module cycle time
 //! is eight processor cycles (§6.2.1).
 
-use dorado_base::snap::{Reader, SnapError, Snapshot, Writer};
+use dorado_base::snap::{Io, SnapError, Snapshot};
 use dorado_base::{RealAddr, Word, MUNCH_WORDS};
 
 /// Flat word-addressed main storage.
@@ -88,22 +88,11 @@ impl Storage {
 }
 
 impl Snapshot for Storage {
-    fn save(&self, w: &mut Writer) {
-        w.tag(b"STOR");
-        w.word_seq(self.words.iter().copied());
-    }
-
-    fn restore(&mut self, r: &mut Reader<'_>) -> Result<(), SnapError> {
-        r.tag(b"STOR")?;
-        if r.len()? != self.words.len() {
-            return Err(SnapError::Mismatch {
-                what: "storage size",
-            });
-        }
-        for w in &mut self.words {
-            *w = r.u16()?;
-        }
-        Ok(())
+    fn walk(&mut self, io: &mut Io<'_>) -> Result<(), SnapError> {
+        io.tag(b"STOR")?;
+        // The word_seq encoding of a fixed-size store.
+        io.config(&self.words.len(), "storage size", Io::usize)?;
+        io.words(&mut self.words)
     }
 }
 

@@ -5,7 +5,7 @@ use crate::cache::Cache;
 use crate::config::MemConfig;
 use crate::map::Map;
 use crate::storage::Storage;
-use dorado_base::snap::{Reader, SnapError, Snapshot, Writer};
+use dorado_base::snap::{Io, SnapError, Snapshot};
 use dorado_base::{
     BaseRegId, CacheStats, StorageStats, TaskId, VirtAddr, Word, MUNCH_WORDS, NUM_TASKS,
 };
@@ -97,7 +97,7 @@ impl MemCounters {
     }
 }
 
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 struct PendingFetch {
     ready_at: u64,
     data: Word,
@@ -545,88 +545,50 @@ impl MemorySystem {
     }
 }
 
-fn save_fetch(w: &mut Writer, p: Option<PendingFetch>) {
-    match p {
-        Some(p) => {
-            w.bool(true);
-            w.u64(p.ready_at);
-            w.u16(p.data);
-        }
-        None => w.bool(false),
-    }
-}
-
-fn restore_fetch(r: &mut Reader<'_>) -> Result<Option<PendingFetch>, SnapError> {
-    Ok(if r.bool()? {
-        Some(PendingFetch {
-            ready_at: r.u64()?,
-            data: r.u16()?,
+impl PendingFetch {
+    /// The snapshot encoding of one fetch slot: a presence flag, then the
+    /// ready cycle and data word.
+    fn walk(slot: &mut Option<PendingFetch>, io: &mut Io<'_>) -> Result<(), SnapError> {
+        io.option(slot, PendingFetch::default, |io, p| {
+            io.u64(&mut p.ready_at)?;
+            io.u16(&mut p.data)
         })
-    } else {
-        None
-    })
+    }
 }
 
 impl Snapshot for MemCounters {
-    fn save(&self, w: &mut Writer) {
-        self.cache.save(w);
-        self.storage.save(w);
-        w.u64(self.faults);
-        w.u64(self.holds_pipe);
-        w.u64(self.holds_storage);
-        w.u64(self.holds_data);
-    }
-
-    fn restore(&mut self, r: &mut Reader<'_>) -> Result<(), SnapError> {
-        self.cache.restore(r)?;
-        self.storage.restore(r)?;
-        self.faults = r.u64()?;
-        self.holds_pipe = r.u64()?;
-        self.holds_storage = r.u64()?;
-        self.holds_data = r.u64()?;
-        Ok(())
+    fn walk(&mut self, io: &mut Io<'_>) -> Result<(), SnapError> {
+        self.cache.walk(io)?;
+        self.storage.walk(io)?;
+        [
+            &mut self.faults,
+            &mut self.holds_pipe,
+            &mut self.holds_storage,
+            &mut self.holds_data,
+        ]
+        .into_iter()
+        .try_for_each(|v| io.u64(v))
     }
 }
 
 impl Snapshot for MemorySystem {
-    fn save(&self, w: &mut Writer) {
-        w.tag(b"MEMS");
-        for b in self.base {
-            w.u32(b);
-        }
-        w.u64(self.now);
-        w.u64(self.storage_free_at);
-        for pipe in &self.pending {
-            save_fetch(w, pipe.slots[0]);
-            save_fetch(w, pipe.slots[1]);
-        }
-        w.words(&self.memdata);
-        save_fetch(w, self.ifu_pending);
-        self.counters.save(w);
-        w.bool(self.fault);
-        self.cache.save(w);
-        self.storage.save(w);
-        self.map.save(w);
-    }
-
-    fn restore(&mut self, r: &mut Reader<'_>) -> Result<(), SnapError> {
-        r.tag(b"MEMS")?;
-        for b in &mut self.base {
-            *b = r.u32()?;
-        }
-        self.now = r.u64()?;
-        self.storage_free_at = r.u64()?;
+    fn walk(&mut self, io: &mut Io<'_>) -> Result<(), SnapError> {
+        io.tag(b"MEMS")?;
+        self.base.iter_mut().try_for_each(|b| io.u32(b))?;
+        io.u64(&mut self.now)?;
+        io.u64(&mut self.storage_free_at)?;
         for pipe in &mut self.pending {
-            pipe.slots[0] = restore_fetch(r)?;
-            pipe.slots[1] = restore_fetch(r)?;
+            pipe.slots
+                .iter_mut()
+                .try_for_each(|slot| PendingFetch::walk(slot, io))?;
         }
-        r.words(&mut self.memdata)?;
-        self.ifu_pending = restore_fetch(r)?;
-        self.counters.restore(r)?;
-        self.fault = r.bool()?;
-        self.cache.restore(r)?;
-        self.storage.restore(r)?;
-        self.map.restore(r)
+        io.words(&mut self.memdata)?;
+        PendingFetch::walk(&mut self.ifu_pending, io)?;
+        self.counters.walk(io)?;
+        io.bool(&mut self.fault)?;
+        self.cache.walk(io)?;
+        self.storage.walk(io)?;
+        self.map.walk(io)
     }
 }
 
@@ -925,10 +887,14 @@ mod tests {
         m.ifu_start_fetch(VirtAddr::new(0x2000)).unwrap();
         m.tick();
 
-        let img = save_image(&m);
+        let img = save_image(&mut m);
         let mut n = mem();
         restore_image(&mut n, &img).unwrap();
-        assert_eq!(save_image(&n), img, "save(restore(save)) is byte-stable");
+        assert_eq!(
+            save_image(&mut n),
+            img,
+            "save(restore(save)) is byte-stable"
+        );
 
         // Both machines deliver the same data after the same waits and end
         // with identical counters.
@@ -944,7 +910,7 @@ mod tests {
         }
         assert_eq!(m.counters(), n.counters());
         assert_eq!(m.now(), n.now());
-        assert_eq!(save_image(&m), save_image(&n));
+        assert_eq!(save_image(&mut m), save_image(&mut n));
 
         // A differently sized machine refuses the image.
         let mut other = MemorySystem::new(MemConfig {

@@ -130,11 +130,6 @@ impl LintReport {
     pub fn count(&self, severity: Severity) -> usize {
         self.diags.iter().filter(|d| d.severity == severity).count()
     }
-
-    /// The findings from one pass.
-    pub fn by_pass<'a>(&'a self, pass: &'a str) -> impl Iterator<Item = &'a Diagnostic> {
-        self.diags.iter().filter(move |d| d.pass == pass)
-    }
 }
 
 /// The analyzer's computed facts over one placed image, packaged as a

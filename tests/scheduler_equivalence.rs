@@ -6,8 +6,8 @@
 //! devices skipped until their due cycle).  These tests drive both modes
 //! with identical stimulus and demand bit-identical observable state:
 //! wakeup lines, register reads, attention lines, statistics, and snapshot
-//! images (which serialize free-running state *projected* over skipped
-//! cycles, so images may never depend on the scheduling mode).
+//! images (a save syncs every device first, so images may never depend on
+//! the scheduling mode).
 
 use dorado::base::check::{check, Rng};
 use dorado::base::snap::save_image;
@@ -142,8 +142,8 @@ fn io_scheduler_equivalence_property() {
         }
         assert_eq!(sched.rx_overruns(), naive.rx_overruns());
         assert_eq!(
-            save_image(&sched),
-            save_image(&naive),
+            save_image(&mut sched),
+            save_image(&mut naive),
             "snapshot images must not depend on the scheduling mode"
         );
     });
@@ -160,13 +160,13 @@ fn workstation_machine_is_mode_equivalent() {
         let outcome = m.run(250_000);
         (outcome, m)
     };
-    let (naive_outcome, naive) = run(true);
-    let (sched_outcome, sched) = run(false);
+    let (naive_outcome, mut naive) = run(true);
+    let (sched_outcome, mut sched) = run(false);
     assert_eq!(naive_outcome, sched_outcome);
     assert_eq!(naive.cycles(), sched.cycles());
     assert_eq!(mesa::tos(&naive), mesa::tos(&sched), "fib(15) result");
     assert_eq!(naive.stats(), sched.stats());
-    assert_eq!(save_image(&naive), save_image(&sched));
+    assert_eq!(save_image(&mut naive), save_image(&mut sched));
 }
 
 #[test]
@@ -184,8 +184,8 @@ fn quantum_boundaries_do_not_shift_due_cycles() {
         let b = naive.run_quantum(997);
         assert_eq!(a, b, "quantum progress at cycle {}", naive.cycles());
         assert_eq!(
-            save_image(&sched),
-            save_image(&naive),
+            save_image(&mut sched),
+            save_image(&mut naive),
             "image at quantum boundary, cycle {}",
             naive.cycles()
         );
@@ -225,10 +225,14 @@ fn due_cycle_fires_at_the_exact_cycle_across_skip_windows() {
                 naive.input(0x41),
                 "FIFO depth at tick {t}"
             );
-            assert_eq!(save_image(&sched), save_image(&naive), "image at tick {t}");
+            assert_eq!(
+                save_image(&mut sched),
+                save_image(&mut naive),
+                "image at tick {t}"
+            );
         }
     }
-    assert_eq!(save_image(&sched), save_image(&naive));
+    assert_eq!(save_image(&mut sched), save_image(&mut naive));
 }
 
 #[test]

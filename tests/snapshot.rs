@@ -3,9 +3,12 @@
 //! guarantee — a machine restored from a checkpoint taken at cycle *k* of
 //! the §4 workstation workload finishes the run cycle-for-cycle
 //! bit-identical to the machine that ran straight through (same trace
-//! events, same statistics, same final image).
+//! events, same statistics, same final image) — and its converse, that a
+//! rejected checkpoint leaves the target machine exactly as it was.
 
 use dorado::asm::{ASel, AluOp, Assembler, BSel, Inst};
+use std::cell::{Cell, RefCell};
+
 use dorado::base::check::{check, Rng};
 use dorado::base::snap::{restore_image, save_image};
 use dorado::base::{BaseRegId, TaskId, VirtAddr, Word};
@@ -48,10 +51,10 @@ fn datapath_snapshot_round_trips() {
     check("datapath_snapshot_round_trips", 64, |rng: &mut Rng| {
         let mut d = DataSection::new();
         scramble_datapath(&mut d, rng);
-        let img = save_image(&d);
+        let img = save_image(&mut d);
         let mut e = DataSection::new();
         restore_image(&mut e, &img).expect("own image restores");
-        assert_eq!(save_image(&e), img);
+        assert_eq!(save_image(&mut e), img);
     });
 }
 
@@ -67,10 +70,10 @@ fn control_snapshot_round_trips() {
         }
         c.ready = dorado::base::task::TaskSet::from_bits(rng.word());
         c.this_task = TaskId::new((rng.word() & 0xf) as u8);
-        let img = save_image(&c);
+        let img = save_image(&mut c);
         let mut e = ControlSection::new();
         restore_image(&mut e, &img).expect("own image restores");
-        assert_eq!(save_image(&e), img);
+        assert_eq!(save_image(&mut e), img);
     });
 }
 
@@ -81,7 +84,7 @@ fn corrupt_images_are_rejected() {
     check("corrupt_images_are_rejected", 128, |rng: &mut Rng| {
         let mut d = DataSection::new();
         scramble_datapath(&mut d, rng);
-        let mut img = save_image(&d);
+        let mut img = save_image(&mut d);
         let at = rng.below(img.len() as u64) as usize;
         img[at] ^= 1 << rng.below(8);
         let mut e = DataSection::new();
@@ -128,13 +131,13 @@ fn machine_snapshot_resume_is_deterministic() {
             let k = rng.below(2_000);
             let mut a = small_machine(&packet);
             a.run_quantum(k);
-            let ckpt = save_image(&a);
+            let ckpt = save_image(&mut a);
             let mut b = small_machine(&packet);
             restore_image(&mut b, &ckpt).expect("checkpoint restores");
-            assert_eq!(save_image(&b), ckpt, "restore → save is the identity");
+            assert_eq!(save_image(&mut b), ckpt, "restore → save is the identity");
             a.run_quantum(500);
             b.run_quantum(500);
-            assert_eq!(save_image(&a), save_image(&b), "k={k}");
+            assert_eq!(save_image(&mut a), save_image(&mut b), "k={k}");
         },
     );
 }
@@ -155,7 +158,7 @@ fn snapshot_restore_over_rewritten_microcode_executes_the_new_store() {
         .microcode(a.place().unwrap())
         .build()
         .unwrap();
-    let boot = save_image(&m);
+    let boot = save_image(&mut m);
     // First run populates every decode product for the old store.
     assert!(m.run(10).halted());
     assert_eq!(m.t(TaskId::EMULATOR), 0x11);
@@ -267,8 +270,11 @@ fn workstation_checkpoint_resume_matches_straight_run() {
     const BUDGET: u64 = 4_000_000;
 
     // The straight run, traced from cycle K so the tails are comparable.
+    // It saves an image at K and carries on: a save must not change the
+    // run (it syncs every device the scheduler skipped).
     let mut straight = workstation();
     straight.run_quantum(K);
+    save_image(&mut straight);
     straight.trace_enable(1 << 16);
     let out = straight.run(BUDGET);
     assert!(out.halted(), "straight run must finish: {out:?}");
@@ -277,7 +283,7 @@ fn workstation_checkpoint_resume_matches_straight_run() {
     // The checkpointed run: stop at K, save, restore elsewhere, continue.
     let mut first_half = workstation();
     first_half.run_quantum(K);
-    let ckpt = save_image(&first_half);
+    let ckpt = save_image(&mut first_half);
     drop(first_half);
 
     let mut resumed = workstation();
@@ -291,5 +297,67 @@ fn workstation_checkpoint_resume_matches_straight_run() {
     assert_eq!(mesa::tos(&resumed), mesa::tos(&straight));
     assert_eq!(mesa::tos(&straight), 144, "fib(12)");
     assert_eq!(resumed.take_trace(), straight.take_trace());
-    assert_eq!(save_image(&resumed), save_image(&straight));
+    assert_eq!(save_image(&mut resumed), save_image(&mut straight));
+}
+
+/// Reseals a tampered image with a fresh FNV-1a trailer, so the damage
+/// gets past the checksum and reaches the component walks.
+fn reseal(mut img: Vec<u8>) -> Vec<u8> {
+    img.truncate(img.len() - 8);
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in &img {
+        h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    img.extend_from_slice(&h.to_le_bytes());
+    img
+}
+
+/// Restore is atomic.  The 30k-cycle workstation checkpoint, corrupted
+/// (half the cases flip one bit, half delete one byte) and resealed, is
+/// restored into a workstation stopped at a different cycle.  Nothing may
+/// panic, and every rejected image must leave the target's own image
+/// byte-identical.  Accepted images are not judged here: the checks a
+/// walk makes are what decide that split.
+#[test]
+fn rejected_restores_leave_the_target_untouched() {
+    let mut source = workstation();
+    source.run_quantum(30_000);
+    let ckpt = save_image(&mut source);
+    let mut target = workstation();
+    target.run_quantum(12_345);
+    let own = save_image(&mut target);
+    let target = RefCell::new(target);
+    let (accepted, rejected) = (Cell::new(0u32), Cell::new(0u32));
+    check(
+        "rejected_restores_leave_the_target_untouched",
+        300,
+        |rng: &mut Rng| {
+            let mut img = ckpt.clone();
+            let at = rng.below(img.len() as u64 - 8) as usize;
+            if rng.chance(1, 2) {
+                img[at] ^= 1 << rng.below(8);
+            } else {
+                img.remove(at);
+            }
+            let target = &mut *target.borrow_mut();
+            match restore_image(target, &reseal(img)) {
+                Ok(()) => {
+                    accepted.set(accepted.get() + 1);
+                    restore_image(target, &own).expect("own image restores");
+                }
+                Err(e) => {
+                    rejected.set(rejected.get() + 1);
+                    assert!(
+                        save_image(target) == own,
+                        "rejected restore ({e}) changed the target"
+                    );
+                }
+            }
+        },
+    );
+    println!(
+        "corrupted checkpoints: {} accepted, {} rejected",
+        accepted.get(),
+        rejected.get()
+    );
 }

@@ -325,7 +325,7 @@ fn cluster_on_the_optimized_image_is_deterministic_and_mode_stable() {
     let run = |exec: Exec| {
         let mut sim = ClusterSim::build_with(&cfg, &suite).expect("cluster builds");
         sim.run(30, exec);
-        let images: Vec<_> = sim.machines.iter().map(save_image).collect();
+        let images: Vec<_> = sim.machines.iter_mut().map(save_image).collect();
         (sim.responses(), sim.served(), images)
     };
     let a = run(Exec::Sequential);
@@ -357,15 +357,15 @@ fn snapshot_round_trip_on_the_optimized_image() {
 
     let mut a = build_mesa_on(&suite, &bytes).expect("machine");
     a.run_quantum(2_500);
-    let ckpt = save_image(&a);
+    let ckpt = save_image(&mut a);
     let mut b = build_mesa_on(&suite, &bytes).expect("machine");
     restore_image(&mut b, &ckpt).expect("checkpoint restores");
-    assert_eq!(save_image(&b), ckpt, "restore → save is the identity");
+    assert_eq!(save_image(&mut b), ckpt, "restore → save is the identity");
     run_to_halt("snapshot/original", &mut a);
     run_to_halt("snapshot/resumed", &mut b);
     assert_eq!(
-        save_image(&a),
-        save_image(&b),
+        save_image(&mut a),
+        save_image(&mut b),
         "resumed and straight-through runs converge"
     );
 }
