@@ -5,8 +5,9 @@
 //! cycle by cycle, and map **every** dynamically observed event back to
 //! a statically predicted site:
 //!
-//! * each Hold the machine raises must land on a [`hold_sites`] entry
-//!   for that cause (the static model has no false negatives);
+//! * each Hold the machine raises must land on a hold site of the
+//!   image's [`Analyses`](crate::Analyses) for that cause (the static
+//!   model has no false negatives);
 //! * each stack-error transition must land on a [`stack_sites`] entry.
 //!
 //! The outcome also reports how many predicted sites the workload
@@ -22,10 +23,9 @@ use dorado_emu::mesa::{self, MesaAsm};
 use dorado_emu::SuiteBuilder;
 use dorado_io::{DiskController, DisplayController, NetworkController};
 
-use crate::cfg::Cfg;
-use crate::passes::hold::{hold_sites, HoldSites};
+use crate::analyze;
+use crate::passes::hold::HoldSites;
 use crate::passes::stack_depth::stack_sites;
-use crate::LintConfig;
 
 /// What the differential run observed, per Hold cause.
 #[derive(Debug, Clone, Copy, Default)]
@@ -131,12 +131,8 @@ pub fn run_workstation(max_cycles: u64) -> Result<DifferentialOutcome, String> {
         .map_err(|e| format!("suite: {e}"))?;
 
     // The static model, over the same image the machine will run.
-    let cfg = Cfg::build(suite.placed());
-    let sites: HoldSites = hold_sites(&cfg);
-    let config = LintConfig::infer(suite.placed());
-    let emu: Vec<MicroAddr> = config.emu_roots.iter().map(|&(_, a)| a).collect();
-    let emu_reach = cfg.reach(&emu);
-    let stack = stack_sites(&cfg, &emu_reach);
+    let an = analyze(suite.placed());
+    let stack = stack_sites(&an);
 
     let mut m = suite
         .machine()
@@ -164,7 +160,7 @@ pub fn run_workstation(max_cycles: u64) -> Result<DifferentialOutcome, String> {
             .write_virt(VirtAddr::new(0x2000 + i), (i as Word).wrapping_mul(3));
     }
 
-    let mut out = observe(&mut m, &sites, &stack, max_cycles);
+    let mut out = observe(&mut m, &an.hold, &stack, max_cycles);
     out.tos = mesa::tos(&m);
     Ok(out)
 }
@@ -181,11 +177,8 @@ pub fn run_stack_underflow(max_cycles: u64) -> Result<DifferentialOutcome, Strin
         .with_mesa()
         .assemble()
         .map_err(|e| format!("suite: {e}"))?;
-    let cfg = Cfg::build(suite.placed());
-    let sites = hold_sites(&cfg);
-    let config = LintConfig::infer(suite.placed());
-    let emu: Vec<MicroAddr> = config.emu_roots.iter().map(|&(_, a)| a).collect();
-    let stack = stack_sites(&cfg, &cfg.reach(&emu));
+    let an = analyze(suite.placed());
+    let stack = stack_sites(&an);
     let mut m = suite
         .machine()
         .task_entry(TASK_EMU, "mesa:boot")
@@ -194,7 +187,7 @@ pub fn run_stack_underflow(max_cycles: u64) -> Result<DifferentialOutcome, Strin
     mesa::configure_ifu(&mut m);
     mesa::init_runtime(&mut m);
     mesa::load_program(&mut m, &program);
-    let mut out = observe(&mut m, &sites, &stack, max_cycles);
+    let mut out = observe(&mut m, &an.hold, &stack, max_cycles);
     out.tos = mesa::tos(&m);
     Ok(out)
 }

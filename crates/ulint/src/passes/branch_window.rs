@@ -50,8 +50,8 @@ impl Pass for BranchWindow {
 
     fn run(&self, ctx: &PassCtx<'_>) -> Vec<Diagnostic> {
         let mut out = Vec::new();
-        for node in ctx.cfg.iter() {
-            findings(ctx.cfg, node, &mut out);
+        for node in ctx.an.cfg.iter() {
+            findings(&ctx.an.cfg, node, &mut out);
         }
         out
     }

@@ -68,7 +68,7 @@ impl Pass for FfConflict {
             seen.push(key);
         }
         // Layer 2: decode-level double-claims.
-        for node in ctx.cfg.iter() {
+        for node in ctx.an.cfg.iter() {
             decode_conflicts(node, &mut out);
         }
         out

@@ -23,7 +23,6 @@
 use dorado_asm::{ASel, BSel, FfOp, LoadControl, Microword};
 use dorado_base::{HoldCause, MicroAddr, MICROSTORE_SIZE};
 
-use crate::analysis::{fixpoint, Domain};
 use crate::cfg::{Cfg, Node};
 use crate::diag::{Diagnostic, Severity};
 
@@ -80,22 +79,6 @@ pub fn hold_sites(cfg: &Cfg) -> HoldSites {
     HoldSites { by_cause, causes }
 }
 
-/// Forward "a fetch may have started on some path to here" analysis.
-struct FetchStarted;
-
-impl Domain for FetchStarted {
-    type Value = bool;
-    fn entry(&self) -> bool {
-        false
-    }
-    fn join(&self, a: &bool, b: &bool) -> bool {
-        *a || *b
-    }
-    fn transfer(&self, node: &Node, v: &bool) -> bool {
-        *v || node.word.asel().is_ok_and(|a| a.is_fetch())
-    }
-}
-
 /// Does `next` read a value `prev` loads in the same cycle window — the
 /// §4.2 bypass cases (T, RM same address, Q)?  Mirrors the assembler's
 /// `hazard` predicate at the placed-word level.
@@ -130,18 +113,6 @@ fn bypassed_pair(prev: Microword, next: Microword) -> Option<&'static str> {
     None
 }
 
-/// Input states of the "a fetch may have started" analysis from
-/// `roots`, dense by raw address: `true` iff some root-to-word path
-/// starts a fetch before the word executes.  A MEMDATA consumer whose
-/// input is `false` is exactly what the pass warns about — a rewriter
-/// placing a copy of such a consumer must check this first.
-pub fn fetch_started(cfg: &Cfg, roots: &[MicroAddr]) -> Vec<bool> {
-    let fetched = fixpoint(cfg, roots, &FetchStarted, 4);
-    (0..MICROSTORE_SIZE)
-        .map(|raw| fetched.input(MicroAddr::new(raw as u16)) == Some(&true))
-        .collect()
-}
-
 /// Whether a predecessor of `node` starts a fetch: a MEMDATA read
 /// there holds in the very next cycle.
 fn adjacent_fetch(cfg: &Cfg, node: &Node) -> bool {
@@ -152,18 +123,15 @@ fn adjacent_fetch(cfg: &Cfg, node: &Node) -> bool {
 }
 
 /// The pass's one warning, at `node` if it applies: a reachable
-/// (`reached`) MEMDATA read that no adjacent fetch precedes and whose
-/// fetch-started input (`fetch_started`) is false.
+/// (`reached`) MEMDATA read that no adjacent fetch precedes and that no
+/// root-to-word path starts a fetch before (`fetched` is false).
 pub(crate) fn fetchless_read(
     cfg: &Cfg,
     node: &Node,
     reached: bool,
-    fetch_started: bool,
+    fetched: bool,
 ) -> Option<Diagnostic> {
-    if !can_hold(node.word, HoldCause::MemData)
-        || !reached
-        || fetch_started
-        || adjacent_fetch(cfg, node)
+    if !can_hold(node.word, HoldCause::MemData) || !reached || fetched || adjacent_fetch(cfg, node)
     {
         return None;
     }
@@ -189,17 +157,17 @@ impl Pass for HoldHazard {
     }
 
     fn run(&self, ctx: &PassCtx<'_>) -> Vec<Diagnostic> {
+        let (an, cfg) = (ctx.an, &ctx.an.cfg);
         let mut out = Vec::new();
-        for node in ctx.cfg.iter() {
+        for node in cfg.iter() {
             // MEMDATA consumers: a genuine defect when no fetch can
             // precede them, else definite after an adjacent fetch and
             // possible otherwise.
-            if can_hold(node.word, HoldCause::MemData) {
-                let raw = node.addr.raw() as usize;
-                let reached = ctx.emu_reach[raw] || ctx.io_reach[raw];
-                let finding = fetchless_read(ctx.cfg, node, reached, ctx.fetch_started[raw]);
+            if an.hold.predicts(HoldCause::MemData, node.addr) {
+                let (reached, fetched) = (an.reached(node.addr), an.fetched(node.addr));
+                let finding = fetchless_read(cfg, node, reached, fetched);
                 out.push(finding.unwrap_or_else(|| {
-                    let what = if adjacent_fetch(ctx.cfg, node) {
+                    let what = if adjacent_fetch(cfg, node) {
                         "definite Hold: consumes MEMDATA in the cycle after the fetch starts"
                     } else {
                         "possible Hold: consumes MEMDATA (stalls until the fetch completes)"
@@ -207,7 +175,7 @@ impl Pass for HoldHazard {
                     Diagnostic::new(NAME, Severity::Info, node.addr, what)
                 }));
             }
-            if can_hold(node.word, HoldCause::IfuOperand) {
+            if an.hold.predicts(HoldCause::IfuOperand, node.addr) {
                 out.push(Diagnostic::new(
                     NAME,
                     Severity::Info,
@@ -215,7 +183,7 @@ impl Pass for HoldHazard {
                     "possible Hold: reads IFU operand bytes (stalls while the buffer is empty)",
                 ));
             }
-            if can_hold(node.word, HoldCause::IfuDispatch) {
+            if an.hold.predicts(HoldCause::IfuDispatch, node.addr) {
                 out.push(Diagnostic::new(
                     NAME,
                     Severity::Info,
@@ -223,14 +191,14 @@ impl Pass for HoldHazard {
                     "possible Hold: IFUJUMP (stalls until an opcode is decoded)",
                 ));
             }
-            if can_hold(node.word, HoldCause::MemPipe) {
+            if an.hold.predicts(HoldCause::MemPipe, node.addr) {
                 out.push(Diagnostic::new(
                     NAME,
                     Severity::Info,
                     node.addr,
                     "possible Hold: starts a fetch (stalls while the memory pipe is busy)",
                 ));
-            } else if can_hold(node.word, HoldCause::MemStorage) {
+            } else if an.hold.predicts(HoldCause::MemStorage, node.addr) {
                 out.push(Diagnostic::new(
                     NAME,
                     Severity::Info,
@@ -240,7 +208,7 @@ impl Pass for HoldHazard {
             }
             // Bypassed same-cycle RAW hazards: no Hold, by §4.2.
             for &p in &node.preds {
-                let Some(prev) = ctx.cfg.node(p) else {
+                let Some(prev) = cfg.node(p) else {
                     continue;
                 };
                 if let Some(what) = bypassed_pair(prev.word, node.word) {

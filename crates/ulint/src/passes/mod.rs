@@ -1,11 +1,9 @@
 //! The lint passes and the context they share.
 
 use dorado_asm::{ControlOp, FfOp, Microword, PlacedProgram};
-use dorado_base::MicroAddr;
 
-use crate::cfg::Cfg;
 use crate::diag::{Diagnostic, Severity};
-use crate::LintConfig;
+use crate::Analyses;
 
 pub mod branch_window;
 pub mod dead_code;
@@ -15,33 +13,12 @@ pub mod stack_depth;
 pub mod task_safety;
 pub mod wasted_slot;
 
-/// Everything a pass gets to look at.
+/// Everything a pass gets to look at: one image and its analysis.
 pub struct PassCtx<'a> {
     /// The placed image.
     pub placed: &'a PlacedProgram,
-    /// The control-flow graph over it.
-    pub cfg: &'a Cfg,
-    /// Root classification (emulator-task vs I/O-task entries).
-    pub config: &'a LintConfig,
-    /// Words reachable from emulator-task roots (dense, by raw address).
-    pub emu_reach: &'a [bool],
-    /// Words reachable from I/O-task roots.
-    pub io_reach: &'a [bool],
-    /// Per-word input of the "a fetch may have started" analysis from
-    /// every root (dense, by raw address; see [`hold::fetch_started`]).
-    pub fetch_started: &'a [bool],
-}
-
-impl PassCtx<'_> {
-    /// Emulator-task root addresses.
-    pub fn emu_roots(&self) -> Vec<MicroAddr> {
-        self.config.emu_roots.iter().map(|&(_, a)| a).collect()
-    }
-
-    /// I/O-task root addresses.
-    pub fn io_roots(&self) -> Vec<MicroAddr> {
-        self.config.io_roots.iter().map(|&(_, a)| a).collect()
-    }
+    /// The facts computed over it.
+    pub an: &'a Analyses,
 }
 
 /// Error and warning counts: all a count-only lint

@@ -18,9 +18,10 @@
 
 use dorado_base::MicroAddr;
 
-use crate::analysis::{fixpoint, Domain, Fixpoint};
+use crate::analysis::{Domain, Fixpoint};
 use crate::cfg::{Cfg, Node};
 use crate::diag::{Diagnostic, Severity};
+use crate::Analyses;
 
 use super::{is_stack_op, Pass, PassCtx};
 
@@ -96,9 +97,9 @@ fn cycle_through(cfg: &Cfg, at: MicroAddr) -> Vec<MicroAddr> {
 
 /// Emulator-reachable stack operations that move the pointer — the
 /// static site set every dynamic stack-error event must map into.
-pub fn stack_sites(cfg: &Cfg, emu_reach: &[bool]) -> Vec<MicroAddr> {
-    cfg.iter()
-        .filter(|n| emu_reach[n.addr.raw() as usize])
+pub fn stack_sites(an: &Analyses) -> Vec<MicroAddr> {
+    (an.cfg.iter())
+        .filter(|n| an.emu_reached(n.addr))
         .filter(|n| is_stack_op(n.word) && n.word.stack_delta() != 0)
         .map(|n| n.addr)
         .collect()
@@ -218,14 +219,16 @@ impl Pass for StackDepth {
     }
 
     fn run(&self, ctx: &PassCtx<'_>) -> Vec<Diagnostic> {
+        let cfg = &ctx.an.cfg;
         let mut out = Vec::new();
-        let roots = ctx.emu_roots();
+        let roots = ctx.an.config.emu_addrs();
         if roots.is_empty() {
             return out;
         }
-        let states = fixpoint(ctx.cfg, &roots, &DepthDomain, WIDEN_AFTER);
-        let ex = excursion(&states, ctx.cfg.iter());
-        findings(&ex, roots[0], |at| has_exit(ctx.cfg, at), &mut out);
+        let mut states = Fixpoint::default();
+        states.solve(cfg, &roots, &DepthDomain, WIDEN_AFTER);
+        let ex = excursion(&states, cfg.iter());
+        findings(&ex, roots[0], |at| has_exit(cfg, at), &mut out);
         out
     }
 }

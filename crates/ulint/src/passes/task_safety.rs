@@ -209,32 +209,30 @@ impl Pass for TaskSafety {
     }
 
     fn run(&self, ctx: &PassCtx<'_>) -> Vec<Diagnostic> {
+        let (an, cfg) = (ctx.an, &ctx.an.cfg);
         let mut out = Vec::new();
         // A clobber needs a second task region.
-        if ctx.config.io_roots.is_empty() {
+        if an.config.io_roots.is_empty() {
             return out;
         }
         let mut masks = vec![Masks::default(); MICROSTORE_SIZE];
-        for node in ctx.cfg.iter() {
+        for node in cfg.iter() {
             masks[node.addr.raw() as usize] = Masks::decode(node.word);
         }
         // Region 0 is the emulator task: preemptible everywhere, so every
         // read is vulnerable.  Each I/O handler is one region, where only
         // reads of a possibly-stale value are.  The handlers' staleness
         // solves share one solver.
-        let mut regions = Vec::with_capacity(ctx.config.io_roots.len() + 1);
+        let mut regions = Vec::with_capacity(an.config.io_roots.len() + 1);
         let mut emu = RegionUse::default();
-        for node in ctx.cfg.iter() {
-            let raw = node.addr.raw() as usize;
-            if ctx.emu_reach[raw] {
-                emu.record(node.addr, emu_access(masks[raw]));
-            }
+        for node in cfg.iter().filter(|n| an.emu_reached(n.addr)) {
+            emu.record(node.addr, emu_access(masks[node.addr.raw() as usize]));
         }
         regions.push(emu);
         let mut stale = Fixpoint::default();
         let mut order = Vec::new();
-        for &(_, root) in &ctx.config.io_roots {
-            stale.solve(ctx.cfg, &[root], &Stale(&masks), 4);
+        for &(_, root) in &an.config.io_roots {
+            stale.solve(cfg, &[root], &Stale(&masks), 4);
             order.clear();
             order.extend_from_slice(stale.reached());
             order.sort_unstable();
@@ -245,7 +243,7 @@ impl Pass for TaskSafety {
             }
             regions.push(io);
         }
-        findings(ctx.config, &regions, &mut out);
+        findings(&an.config, &regions, &mut out);
         out
     }
 }

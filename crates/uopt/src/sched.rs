@@ -241,12 +241,11 @@ fn gate_run(
         .map(|i| placed.inst_addr(k0 + i).expect("every inst is placed"))
         .collect();
     for &a in &addrs {
-        let raw = a.raw() as usize;
-        if an.io_reach[raw] {
+        if an.io_reached(a) {
             report.refuse("run reachable from an I/O task (task-switch boundary)");
             return None;
         }
-        if !an.emu_reach[raw] {
+        if !an.emu_reached(a) {
             report.refuse("run not reachable from any emulator root");
             return None;
         }

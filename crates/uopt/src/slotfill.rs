@@ -47,30 +47,51 @@ use dorado_ulint::{Analyses, LintSession, SessionWork};
 use crate::deps::{consumes_carry, consumes_memdata};
 use crate::OptReport;
 
+/// A relay word of the unfilled placement.
+#[derive(Debug, Clone)]
+pub struct Relay {
+    /// Its address.
+    pub at: MicroAddr,
+    /// The label it re-aims control at.
+    pub target: String,
+    /// [`Analyses::fetched`] at the relay, before any fill.
+    pub fetched: bool,
+}
+
+/// The relays of `placed` in address order, with the fetch facts of
+/// `an`, its analysis.
+pub fn relays(placed: &PlacedProgram, an: &Analyses) -> Vec<Relay> {
+    (placed.uses().iter().enumerate())
+        .filter_map(|(raw, slot)| match slot {
+            SlotUse::Relay(target) => {
+                let at = MicroAddr::new(raw as u16);
+                Some(Relay {
+                    at,
+                    target: target.clone(),
+                    fetched: an.fetched(at),
+                })
+            }
+            _ => None,
+        })
+        .collect()
+}
+
 /// Fills every safe relay in `placed` (the placement of `program`),
-/// consulting `an` (computed over this same placement) for path facts,
-/// recording fills and refusals in `report`.  Returns the validation
+/// taking over `an`, its analysis, as the validation session's starting
+/// state, and recording fills and refusals in `report`.  Returns the
 /// session's work counters.
 pub fn fill(
     placed: &mut PlacedProgram,
     program: &MicroProgram,
-    an: &Analyses,
+    an: Analyses,
     report: &mut OptReport,
 ) -> SessionWork {
     let insts = listing(program);
-    let relays: Vec<(MicroAddr, String)> = placed
-        .uses()
-        .iter()
-        .enumerate()
-        .filter_map(|(raw, slot)| match slot {
-            SlotUse::Relay(target) => Some((MicroAddr::new(raw as u16), target.clone())),
-            _ => None,
-        })
-        .collect();
-    let mut session = LintSession::new(placed, an.config.clone());
+    let relays = relays(placed, &an);
+    let mut session = LintSession::new(placed, an);
     let mut current = session.counts();
-    for (at, target) in relays {
-        let (word, i) = match candidate(session.placed(), &insts, an, at, &target) {
+    for relay in relays {
+        let (word, i) = match candidate(session.placed(), &insts, &relay) {
             Ok(found) => found,
             Err(why) => {
                 report.refuse(why);
@@ -81,11 +102,11 @@ pub fn fill(
         // which can strand the (still labelled) target without the
         // fetch-started path that kept it quiet.
         report.fill_trials += 1;
-        session.fill_relay(at, word, i);
+        session.fill_relay(relay.at, word, i);
         let counts = session.counts();
         if counts.0 <= current.0 && counts.1 <= current.1 {
             current = counts;
-            note_fill(report, at, &target);
+            note_fill(report, relay.at, &relay.target);
         } else {
             session.revert();
             report.refuse("fill would strand the target from the paths that kept it lint-clean");
@@ -106,10 +127,9 @@ pub fn listing(program: &MicroProgram) -> Vec<&Inst> {
         .collect()
 }
 
-/// The word that would fill the relay at `at` (aimed at `target`) and
-/// the listing index it copies, or the refusal-table reason it cannot.
-/// `insts` is the [`listing`] `placed` was placed from; `an` holds the
-/// path facts of the unfilled placement.
+/// The word that would fill `relay` and the listing index it copies,
+/// or the refusal-table reason it cannot.  `insts` is the [`listing`]
+/// `placed` was placed from.
 ///
 /// # Errors
 ///
@@ -117,12 +137,11 @@ pub fn listing(program: &MicroProgram) -> Vec<&Inst> {
 pub fn candidate(
     placed: &PlacedProgram,
     insts: &[&Inst],
-    an: &Analyses,
-    at: MicroAddr,
-    target: &str,
+    relay: &Relay,
 ) -> Result<(Microword, usize), &'static str> {
+    let at = relay.at;
     let dest = placed
-        .address_of(target)
+        .address_of(&relay.target)
         .ok_or("relay target label is unplaced")?;
     let SlotUse::Inst(i) = placed.uses()[dest.raw() as usize] else {
         return Err("relay target is not an instruction word");
@@ -135,7 +154,7 @@ pub fn candidate(
     if consumes_carry(inst) {
         return Err("relay target chains on the saved carry");
     }
-    if consumes_memdata(inst) && !an.fetch_started[at.raw() as usize] {
+    if consumes_memdata(inst) && !relay.fetched {
         return Err("relay target reads MEMDATA and no fetch precedes the relay");
     }
     let word = match control {
